@@ -3,6 +3,7 @@
 // Prints (a) the degree-1 expanded linearised system and (b) the system
 // after Gauss-Jordan elimination, then the facts Bosphorus retains --
 // expected: x1 + 1, x2, x3 (the last three rows of Table I(b)).
+#include <algorithm>
 #include <cstdio>
 
 #include "anf/anf_parser.h"
@@ -32,8 +33,11 @@ void print_matrix(const core::Linearization& lin, const char* title) {
     for (size_t r = 0; r < lin.rows(); ++r) {
         if (lin.matrix.row_is_zero(r)) continue;
         std::printf("  row %-5zu ", r);
-        for (size_t c = 0; c < lin.cols(); ++c)
-            std::printf("%-9s", lin.matrix.get(r, c) ? "1" : "");
+        const auto& row = lin.matrix.row(r);
+        for (size_t c = 0; c < lin.cols(); ++c) {
+            const bool set = std::binary_search(row.begin(), row.end(), c);
+            std::printf("%-9s", set ? "1" : "");
+        }
         std::printf("\n");
     }
 }
@@ -56,7 +60,7 @@ int main() {
     core::Linearization lin = core::linearize(expanded);
     print_matrix(lin, "(a) expansion by degree-1 monomials:");
 
-    lin.matrix.rref();
+    core::reduce(lin);
     print_matrix(lin, "\n(b) after Gauss-Jordan elimination:");
 
     const auto facts = core::extract_facts(lin);

@@ -131,7 +131,8 @@ struct EngineConfig {
     /// Populate Report::processed_anf / processed_cnf after the loop. The
     /// CNF conversion is a fixed per-run cost; sweep workloads that only
     /// consume verdicts/solutions (Session re-solves,
-    /// BatchEngine::solve_all_incremental) can turn it off.
+    /// BatchEngine::solve_all_incremental) can turn it off. A
+    /// ServiceConfig's engine defaults it to false.
     bool emit_processed = true;
 };
 

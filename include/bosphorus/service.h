@@ -67,7 +67,18 @@ struct ServiceConfig {
     /// techniques -- is fixed service-wide so results stay reproducible
     /// across tenants. Warm sessions are constructed with exactly this
     /// config (see `open_session`).
-    EngineConfig engine;
+    ///
+    /// Unlike a plain `EngineConfig`, the service default has
+    /// `emit_processed = false`: a job's result carries its verdict and
+    /// solution, and a processed ANF/CNF per retained job would cost one
+    /// `anf_to_cnf` call and its memory until eviction for output nobody
+    /// reads. Set it back to true to get `Report::processed_anf` /
+    /// `processed_cnf` in `wait()` outcomes.
+    EngineConfig engine = [] {
+        EngineConfig cfg;
+        cfg.emit_processed = false;
+        return cfg;
+    }();
 
     /// Run each one-shot job as a *cooperative* portfolio race instead of
     /// a single engine: the default_portfolio entries over `engine` race

@@ -159,7 +159,13 @@ Result<ParsedSystem> try_parse_system_from_string(const std::string& text) {
 }
 
 void write_system(std::ostream& out, const std::vector<Polynomial>& polys) {
-    for (const auto& p : polys) out << p.to_string() << "\n";
+    // Render the whole system into one buffer and write it once.
+    std::string text;
+    for (const auto& p : polys) {
+        p.append_to(text);
+        text += '\n';
+    }
+    out.write(text.data(), static_cast<std::streamsize>(text.size()));
 }
 
 }  // namespace bosphorus::anf

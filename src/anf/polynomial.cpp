@@ -1,6 +1,7 @@
 #include "anf/polynomial.h"
 
 #include <algorithm>
+#include <charconv>
 #include <unordered_set>
 
 namespace bosphorus::anf {
@@ -139,23 +140,33 @@ Polynomial Polynomial::substitute(Var v, const Polynomial& by) const {
 }
 
 std::string Polynomial::to_string() const {
-    if (monos_.empty()) return "0";
     std::string s;
+    append_to(s);
+    return s;
+}
+
+void Polynomial::append_to(std::string& out) const {
+    if (monos_.empty()) {
+        out += '0';
+        return;
+    }
     // Print highest degree first, which reads naturally (x1*x2 + x3 + 1).
+    char num[16];
     for (auto it = monos_.rbegin(); it != monos_.rend(); ++it) {
-        if (!s.empty()) s += " + ";
+        if (it != monos_.rbegin()) out += " + ";
         if (it->is_one()) {
-            s += "1";
-        } else {
-            bool first = true;
-            for (Var v : it->vars()) {
-                if (!first) s += "*";
-                s += "x" + std::to_string(v + 1);
-                first = false;
-            }
+            out += '1';
+            continue;
+        }
+        bool first = true;
+        for (Var v : it->vars()) {
+            if (!first) out += '*';
+            out += 'x';
+            const auto res = std::to_chars(num, num + sizeof num, v + 1);
+            out.append(num, res.ptr);
+            first = false;
         }
     }
-    return s;
 }
 
 }  // namespace bosphorus::anf

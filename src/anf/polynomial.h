@@ -101,6 +101,9 @@ public:
     /// Render as e.g. "x1*x2 + x3 + 1" using 1-based variable names.
     std::string to_string() const;
 
+    /// Append the to_string() rendering to `out`.
+    void append_to(std::string& out) const;
+
 private:
     void canonicalise();
 

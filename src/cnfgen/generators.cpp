@@ -22,16 +22,18 @@ PlantedAnf planted_quadratic_anf(size_t num_vars, size_t num_eqs,
 
     out.polys.reserve(num_eqs);
     for (size_t e = 0; e < num_eqs; ++e) {
-        anf::Polynomial p;
+        // Gather the terms and canonicalise once; repeated draws cancel in
+        // pairs exactly as term-by-term XOR would.
+        std::vector<anf::Monomial> terms;
+        terms.reserve(quadratic_terms + linear_terms + 1);
         for (unsigned q = 0; q < quadratic_terms; ++q) {
             const auto a = static_cast<anf::Var>(rng.below(num_vars));
             const auto b = static_cast<anf::Var>(rng.below(num_vars));
-            p += anf::Polynomial::variable(a) * anf::Polynomial::variable(b);
+            terms.push_back(anf::Monomial(a) * anf::Monomial(b));
         }
-        for (unsigned l = 0; l < linear_terms; ++l) {
-            const auto a = static_cast<anf::Var>(rng.below(num_vars));
-            p += anf::Polynomial::variable(a);
-        }
+        for (unsigned l = 0; l < linear_terms; ++l)
+            terms.emplace_back(static_cast<anf::Var>(rng.below(num_vars)));
+        anf::Polynomial p(std::move(terms));
         if (p.evaluate(out.planted)) p += anf::Polynomial::constant(true);
         if (p.is_zero()) { --e; continue; }  // degenerate draw, redo
         out.polys.push_back(std::move(p));

@@ -38,26 +38,23 @@ std::vector<Polynomial> run_elimlin(const std::vector<Polynomial>& system,
     for (; iterations < cfg.max_iterations; ++iterations) {
         // Cancellation boundary: one eliminate-substitute round.
         if (cancel.cancelled()) break;
-        // Step (1): GJE on the linearisation (M4R by default).
+        // Step (1): structured elimination on the sparse linearisation;
+        // a cancel inside it ends the run like one at the round boundary.
         Linearization lin = linearize(work);
-        reduce(lin, cfg.use_m4r);
+        reduce(lin, cfg.use_m4r, cancel);
+        if (cancel.cancelled()) break;
 
         // Step (2): gather linear equations from the reduced rows.
         std::vector<Polynomial> linear;
         std::vector<Polynomial> nonlinear;
         bool contradiction = false;
         for (size_t r = 0; r < lin.rows(); ++r) {
-            if (lin.matrix.row_is_zero(r)) continue;
-            Polynomial p = row_to_polynomial(lin, r);
-            if (p.is_one()) {
+            if (lin.row_is_one(r)) {
                 contradiction = true;
                 break;
             }
-            if (p.degree() <= 1) {
-                linear.push_back(std::move(p));
-            } else {
-                nonlinear.push_back(std::move(p));
-            }
+            (lin.row_is_linear(r) ? linear : nonlinear)
+                .push_back(row_to_polynomial(lin, r));
         }
         if (contradiction) {
             facts.clear();

@@ -1,7 +1,7 @@
 // ElimLin -- paper section II-C.
 //
-// Iterates to fixed point: (1) Gauss-Jordan elimination on the linearised
-// system; (2) gather the linear equations; (3) for each linear equation,
+// Iterates to fixed point: (1) reduce the linearised system to reduced row
+// echelon form; (2) gather the linear equations; (3) for each linear equation,
 // eliminate from the system the variable that occurs in the fewest other
 // equations, by substitution. All linear equations discovered along the way
 // (which are consequences of the original system, as substitution preserves
@@ -20,7 +20,8 @@ namespace bosphorus::core {
 struct ElimLinConfig {
     unsigned m_budget = 30;  ///< M: subsample until m'*n' >= 2^M
     unsigned max_iterations = 64;
-    /// Eliminate with the Method of Four Russians (see XlConfig::use_m4r).
+    /// M4R for the dense Schur block of the elimination (see
+    /// XlConfig::use_m4r).
     bool use_m4r = true;
 };
 
@@ -32,9 +33,9 @@ struct ElimLinStats {
 };
 
 /// Run ElimLin to fixed point. `cancel` is polled at every outer
-/// (eliminate-substitute) iteration boundary; a cancelled run returns the
-/// facts learnt so far -- they are sound, substitution preserves the
-/// solution set.
+/// (eliminate-substitute) iteration boundary and inside each round's
+/// elimination; a cancelled run returns the facts learnt so far -- they
+/// are sound, substitution preserves the solution set.
 std::vector<anf::Polynomial> run_elimlin(
     const std::vector<anf::Polynomial>& system, const ElimLinConfig& cfg,
     Rng& rng, ElimLinStats* stats = nullptr,

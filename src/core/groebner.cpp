@@ -81,25 +81,23 @@ std::vector<Polynomial> run_groebner(const std::vector<Polynomial>& system,
         spairs_total += pairs;
         if (pairs == 0) break;
 
-        // F4-style simultaneous reduction: one Gauss-Jordan elimination
-        // over the linearisation of basis + S-polynomials (M4R by default).
+        // F4-style simultaneous reduction: one structured elimination
+        // over the linearisation of basis + S-polynomials. A cancel inside
+        // it ends the run like one at the round boundary.
         Linearization lin = linearize(batch);
-        reduce(lin, cfg.use_m4r);
+        reduce(lin, cfg.use_m4r, cancel);
+        if (cancel.cancelled()) break;
 
         bool contradiction = false;
         std::vector<Polynomial> next_basis;
         size_t fresh = 0;
         for (size_t r = 0; r < lin.rows(); ++r) {
-            if (lin.matrix.row_is_zero(r)) continue;
-            Polynomial p = row_to_polynomial(lin, r);
-            if (p.is_one()) {
+            if (lin.row_is_one(r)) {
                 contradiction = true;
                 break;
             }
-            const bool is_linear = p.degree() <= 1;
-            const bool is_mono_fact =
-                p.size() == 2 && p.has_constant_term() && p.degree() >= 2;
-            if ((is_linear || is_mono_fact) && fact_set.insert(p).second)
+            Polynomial p = row_to_polynomial(lin, r);
+            if (lin.row_is_fact(r) && fact_set.insert(p).second)
                 facts.push_back(p);
             if (!known.count(p)) {
                 known.insert(p);

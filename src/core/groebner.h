@@ -7,8 +7,8 @@
 // *iteratively* next to XL/ElimLin/SAT. This module implements that
 // component in the F4 style (Faugere): instead of reducing one S-polynomial
 // at a time, each round forms all S-polynomials up to a degree bound and
-// reduces the whole batch simultaneously with Gauss-Jordan elimination on
-// the linearised system -- reusing the same gf2 substrate as XL.
+// reduces the whole batch simultaneously by eliminating on the linearised
+// system -- the same structured sparse kernel XL and ElimLin use.
 //
 // Over the Boolean ring GF(2)[x]/(x_i^2 + x_i), multiplication by the
 // S-polynomial cofactors is idempotent-aware (the Monomial type unions
@@ -32,7 +32,8 @@ struct GroebnerConfig {
     size_t max_basis = 4096;       ///< cap on tracked basis polynomials
     size_t max_pairs = 20'000;     ///< cap on S-pairs per round
     unsigned m_budget = 20;        ///< subsample budget 2^M (like XL/ElimLin)
-    /// Eliminate with the Method of Four Russians (see XlConfig::use_m4r).
+    /// M4R for the dense Schur block of the elimination (see
+    /// XlConfig::use_m4r).
     bool use_m4r = true;
 };
 
@@ -46,7 +47,8 @@ struct GroebnerStats {
 /// One invocation of the degree-bounded F4 loop. Returns learnt facts
 /// (linear equations and monomial facts; the constant-1 polynomial means
 /// the ideal is trivial, i.e. the system is UNSAT). `cancel` is polled at
-/// every F4 round boundary; a cancelled run returns the facts found so far.
+/// every F4 round boundary and inside each round's elimination; a
+/// cancelled run returns the facts found so far.
 std::vector<anf::Polynomial> run_groebner(
     const std::vector<anf::Polynomial>& system, const GroebnerConfig& cfg,
     Rng& rng, GroebnerStats* stats = nullptr,

@@ -52,49 +52,37 @@ Linearization linearize(const std::vector<Polynomial>& polys) {
         lin.col_index.emplace(lin.col_monomial[c].id(),
                               static_cast<uint32_t>(c));
 
-    lin.matrix = gf2::Matrix(polys.size(), lin.col_monomial.size());
-    for (size_t r = 0; r < polys.size(); ++r) {
-        for (const auto& m : polys[r].monomials())
-            lin.matrix.flip(r, lin.col_index.find(m.id())->second);
+    lin.matrix = gf2::SparseMatrix(lin.col_monomial.size());
+    for (const auto& p : polys) {
+        // Terms are stored ascending deg-lex, so walking them backwards
+        // yields the row's columns in ascending order.
+        gf2::SparseMatrix::Row row;
+        row.reserve(p.size());
+        for (auto it = p.monomials().rbegin(); it != p.monomials().rend(); ++it)
+            row.push_back(lin.col_index.find(it->id())->second);
+        lin.matrix.add_row(std::move(row));
     }
     return lin;
 }
 
-size_t reduce(Linearization& lin, bool use_m4r) {
-    // Tiny matrices gain nothing from the 2^k table setup; keep them on
-    // the plain path even when M4R is requested.
-    if (!use_m4r || lin.rows() < 16 || lin.cols() < 16) {
-        // Requesting pivot columns pins rref() to plain Gauss-Jordan
-        // (its no-argument form auto-dispatches big matrices to M4R,
-        // which would make the use_m4r=false path a silent no-op).
-        std::vector<size_t> pivots;
-        return lin.matrix.rref(&pivots);
-    }
-    return lin.matrix.rref_m4r();
+size_t reduce(Linearization& lin, bool use_m4r,
+              const runtime::CancellationToken& cancel) {
+    return lin.matrix.rref(use_m4r, cancel);
 }
 
 Polynomial row_to_polynomial(const Linearization& lin, size_t row) {
     std::vector<Monomial> monos;
-    for (size_t c = 0; c < lin.cols(); ++c) {
-        if (lin.matrix.get(row, c)) monos.push_back(lin.col_monomial[c]);
-    }
+    monos.reserve(lin.matrix.row_popcount(row));
+    for (uint32_t c : lin.matrix.row(row)) monos.push_back(lin.col_monomial[c]);
     return Polynomial(std::move(monos));
 }
 
 std::vector<Polynomial> extract_facts(const Linearization& lin) {
     std::vector<Polynomial> facts;
     for (size_t r = 0; r < lin.rows(); ++r) {
-        if (lin.matrix.row_is_zero(r)) continue;
-        const Polynomial p = row_to_polynomial(lin, r);
-        if (p.is_one()) {
-            // 1 = 0: contradiction -- dominates everything else.
-            return {Polynomial::constant(true)};
-        }
-        const bool is_linear = p.degree() <= 1;
-        const bool is_monomial_fact = p.size() == 2 &&
-                                      p.has_constant_term() &&
-                                      p.degree() >= 2;
-        if (is_linear || is_monomial_fact) facts.push_back(p);
+        // 1 = 0: contradiction -- dominates everything else.
+        if (lin.row_is_one(r)) return {Polynomial::constant(true)};
+        if (lin.row_is_fact(r)) facts.push_back(row_to_polynomial(lin, r));
     }
     return facts;
 }

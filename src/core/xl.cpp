@@ -151,19 +151,20 @@ std::vector<Polynomial> run_xl(const std::vector<Polynomial>& system,
         if (!keep_going) break;
     }
 
-    // 3. Gauss-Jordan elimination on the linearisation (M4R by default).
-    // No cancellation check after the elimination: once the expensive
-    // reduction has completed, extracting its facts is cheap and they are
-    // sound -- a cancelled run keeps them ("facts gathered so far").
+    // 3. Structured elimination on the sparse linearisation; a cancel
+    // inside it discards the matrix.
     if (cancel.cancelled()) return {};
+    const size_t expanded_rows = expanded.size();
     Linearization lin = linearize(expanded);
-    const size_t rank = reduce(lin, cfg.use_m4r);
+    expanded = {};
+    const size_t rank = reduce(lin, cfg.use_m4r, cancel);
+    if (cancel.cancelled()) return {};
 
     std::vector<Polynomial> facts = extract_facts(lin);
 
     if (stats) {
         stats->sampled_equations = sampled.size();
-        stats->expanded_rows = expanded.size();
+        stats->expanded_rows = expanded_rows;
         stats->columns = lin.cols();
         stats->rank = rank;
         stats->facts = facts.size();

@@ -1,7 +1,11 @@
 #include "crypto/aes_small.h"
 
+#include <array>
 #include <cassert>
 #include <stdexcept>
+#include <utility>
+
+#include "anf/monomial_store.h"
 
 namespace bosphorus::crypto {
 
@@ -49,6 +53,12 @@ SmallScaleAes::SmallScaleAes(Params p) : p_(p), field_(p.e) {
 
     sbox_eqs_ = sbox_quadratics(sbox_, p_.e);
     assert(verify_quadratics(sbox_, p_.e, sbox_eqs_));
+    // encode() interns template monomials from a 2-slot array.
+    for (const auto& eq : sbox_eqs_)
+        for (const auto& mono : eq)
+            if (mono.size() > 2)
+                throw std::logic_error("SmallScaleAes: S-box template "
+                                       "monomial above degree 2");
 }
 
 std::vector<uint8_t> SmallScaleAes::expand_key(
@@ -187,18 +197,26 @@ SmallScaleAes::Instance SmallScaleAes::encode(
     };
 
     // Instantiate the implicit S-box quadratics over input/output words.
+    // Template monomials have degree <= 2 (checked at construction), so
+    // each is sorted in a 2-slot array and interned without a heap list.
+    anf::MonomialStore& store = anf::MonomialStore::global();
     auto emit_sbox = [&](size_t in_base, unsigned in_word, size_t out_base,
                          unsigned out_word) {
         for (const auto& eq : sbox_eqs_) {
             std::vector<Monomial> monos;
+            monos.reserve(eq.size());
             for (const auto& mono : eq) {
-                std::vector<Var> vars;
+                std::array<Var, 2> vars{};
+                uint32_t n = 0;
                 for (const TemplateBit& tb : mono) {
-                    vars.push_back(tb.side == 0
-                                       ? bit_var(in_base, in_word, tb.bit)
-                                       : bit_var(out_base, out_word, tb.bit));
+                    vars[n++] = tb.side == 0
+                                    ? bit_var(in_base, in_word, tb.bit)
+                                    : bit_var(out_base, out_word, tb.bit);
                 }
-                monos.emplace_back(std::move(vars));
+                if (n == 2 && vars[1] < vars[0]) std::swap(vars[0], vars[1]);
+                if (n == 2 && vars[0] == vars[1]) n = 1;
+                monos.push_back(
+                    Monomial::from_id(store.intern_sorted(vars.data(), n)));
             }
             inst.polys.emplace_back(std::move(monos));
         }

@@ -22,6 +22,15 @@ size_t Matrix::row_popcount(size_t r) const {
     return n;
 }
 
+std::vector<uint32_t> Matrix::row_ones(size_t r) const {
+    std::vector<uint32_t> out;
+    const uint64_t* p = row_ptr(r);
+    for (size_t w = 0; w < words_per_row_; ++w)
+        for (uint64_t m = p[w]; m != 0; m &= m - 1)
+            out.push_back(static_cast<uint32_t>(w * 64 + std::countr_zero(m)));
+    return out;
+}
+
 size_t Matrix::add_row() {
     data_.resize(data_.size() + words_per_row_, 0);
     return rows_++;

@@ -1,9 +1,12 @@
 // Dense GF(2) matrices with bit-packed rows and Gauss-Jordan elimination.
 //
-// This module substitutes for M4RI in the original Bosphorus: it provides the
-// dense Boolean linear algebra needed by eXtended Linearization (XL), ElimLin
-// and the S-box implicit-quadratic derivation.  Rows are packed 64 bits per
-// machine word, so row-XOR (the inner loop of elimination) runs word-parallel.
+// This module substitutes for M4RI in the original Bosphorus. The algebraic
+// layers (XL, ElimLin, Groebner) eliminate on gf2::SparseMatrix
+// (gf2/sparse_matrix.h), which hands only its small dense Schur block to
+// rref_m4r here; the dense kernel is also that class's test oracle, and the
+// direct kernel of the S-box implicit-quadratic derivation, the XOR engine
+// and the stream preprocessor. Rows are packed 64 bits per machine word, so
+// row-XOR (the inner loop of elimination) runs word-parallel.
 #pragma once
 
 #include <cstddef>
@@ -16,10 +19,9 @@ namespace bosphorus::gf2 {
 
 /// Dense matrix over GF(2). Rows are bit-packed into 64-bit words.
 ///
-/// The elimination routines implement plain word-sliced Gauss-Jordan; for the
-/// matrix sizes Bosphorus produces (up to ~2^17 x 2^17 in the default
-/// configuration) this is within a small constant factor of M4RI's Method of
-/// Four Russians while being considerably simpler to verify.
+/// rref() is plain word-sliced Gauss-Jordan (dispatching large matrices to
+/// rref_m4r() unless pivot columns are requested); rref_m4r() is M4RI's
+/// Method of Four Russians. Both give the identical reduced matrix.
 class Matrix {
 public:
     Matrix() = default;
@@ -68,6 +70,9 @@ public:
 
     /// Number of set bits in row r.
     size_t row_popcount(size_t r) const;
+
+    /// Column indices of the set bits in row r, ascending.
+    std::vector<uint32_t> row_ones(size_t r) const;
 
     /// Append a zero row and return its index.
     size_t add_row();

@@ -2,6 +2,8 @@
 // solving pipeline.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "anf/anf_parser.h"
 #include "cnfgen/generators.h"
 #include "core/bosphorus.h"
@@ -224,6 +226,29 @@ TEST(CnfGen, RandomKsatShape) {
     EXPECT_EQ(cnf.num_vars, 12u);
     EXPECT_EQ(cnf.clauses.size(), 40u);
     for (const auto& c : cnf.clauses) EXPECT_EQ(c.size(), 3u);
+}
+
+TEST(CnfGen, PlantedQuadraticAnfIsUnchanged) {
+    // Digest (64-bit FNV-1a) of written systems and planted models,
+    // recorded before the generator gathered each equation's terms and
+    // canonicalised once instead of XOR-ing them in one by one.
+    Rng rng(5);
+    std::ostringstream text;
+    for (int i = 0; i < 20; ++i) {
+        const auto p = cnfgen::planted_quadratic_anf(40, 60, 3, 2, rng);
+        anf::write_system(text, p.polys);
+        for (bool b : p.planted) text << b;
+        text << "\n";
+        for (const auto& poly : p.polys)
+            EXPECT_FALSE(poly.evaluate(p.planted));
+    }
+    // Few variables and many terms: repeated draws must cancel in pairs.
+    anf::write_system(text,
+                      cnfgen::planted_quadratic_anf(8, 30, 4, 3, rng).polys);
+    uint64_t h = 1469598103934665603ULL;
+    for (unsigned char c : text.str()) h = (h ^ c) * 1099511628211ULL;
+    EXPECT_EQ(text.str().size(), 49351u);
+    EXPECT_EQ(h, 14296069523326757482ULL);
 }
 
 TEST(CnfGen, GraphColoringTriangleTwoColorsUnsat) {

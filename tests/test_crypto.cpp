@@ -2,6 +2,9 @@
 // S-box quadratics, small-scale AES, Simon32/64 and SHA-256.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "anf/anf_parser.h"
 #include "crypto/aes_small.h"
 #include "crypto/gf2e.h"
 #include "crypto/sbox_quadratics.h"
@@ -199,6 +202,32 @@ TEST(AesSmall, Sr1448ShapeMatchesPaper) {
     EXPECT_EQ(inst.num_vars, 544u);
     EXPECT_GT(inst.polys.size(), 900u);
     EXPECT_LT(inst.polys.size(), 1300u);
+}
+
+TEST(AesSmall, EncodingIsUnchanged) {
+    // Digests (64-bit FNV-1a) of the written systems, recorded before the
+    // S-box emission moved from heap variable lists to interning from a
+    // 2-slot array: the polynomials must stay identical.
+    auto fnv1a = [](const std::string& s) {
+        uint64_t h = 1469598103934665603ULL;
+        for (unsigned char c : s) h = (h ^ c) * 1099511628211ULL;
+        return h;
+    };
+    struct Case {
+        SmallScaleAes::Params p;
+        size_t polys;
+        uint64_t digest;
+    };
+    const Case cases[] = {{{3, 1, 2, 4}, 245, 3452962837426291361ULL},
+                          {{2, 2, 2, 8}, 628, 15752078258026710611ULL}};
+    for (const Case& c : cases) {
+        Rng rng(2024);
+        const auto inst = SmallScaleAes(c.p).random_instance(rng);
+        std::ostringstream text;
+        anf::write_system(text, inst.polys);
+        EXPECT_EQ(inst.polys.size(), c.polys);
+        EXPECT_EQ(fnv1a(text.str()), c.digest);
+    }
 }
 
 // ---- Simon ------------------------------------------------------------------

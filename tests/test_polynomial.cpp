@@ -246,5 +246,50 @@ TEST(AnfParser, WriteReadRoundTrip) {
     EXPECT_EQ(again.polynomials, sys.polynomials);
 }
 
+/// The renderer before write_system and to_string shared one buffer.
+std::string reference_to_string(const Polynomial& p) {
+    if (p.is_zero()) return "0";
+    std::string s;
+    for (auto it = p.monomials().rbegin(); it != p.monomials().rend(); ++it) {
+        if (!s.empty()) s += " + ";
+        if (it->is_one()) {
+            s += "1";
+        } else {
+            bool first = true;
+            for (Var v : it->vars()) {
+                if (!first) s += "*";
+                s += "x" + std::to_string(v + 1);
+                first = false;
+            }
+        }
+    }
+    return s;
+}
+
+TEST(AnfParser, WriteSystemIsByteIdenticalToReferenceRenderer) {
+    Rng rng(17);
+    std::vector<Polynomial> polys = {Polynomial(), Polynomial::constant(true),
+                                     Polynomial::variable(0),
+                                     Polynomial::variable(4'000'000'000u)};
+    for (int i = 0; i < 200; ++i) {
+        std::vector<Monomial> monos;
+        for (uint64_t t = 0, n = rng.below(6); t < n; ++t) {
+            std::vector<Var> vars;
+            for (uint64_t d = 0, k = rng.below(4); d < k; ++d)
+                vars.push_back(static_cast<Var>(rng.below(i < 100 ? 12 : 100000)));
+            monos.emplace_back(std::move(vars));
+        }
+        polys.emplace_back(std::move(monos));
+    }
+    std::string expected;
+    for (const auto& p : polys) {
+        EXPECT_EQ(p.to_string(), reference_to_string(p));
+        expected += reference_to_string(p) + "\n";
+    }
+    std::ostringstream out;
+    write_system(out, polys);
+    EXPECT_EQ(out.str(), expected);
+}
+
 }  // namespace
 }  // namespace bosphorus::anf

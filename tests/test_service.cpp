@@ -177,6 +177,25 @@ TEST(Service, OneShotVerdictMatchesEngine) {
     EXPECT_EQ(out->timeout_s, scfg.default_timeout_s);
 }
 
+TEST(Service, ProcessedOutputIsOptIn) {
+    // A service job's result is its verdict and solution; the processed
+    // ANF/CNF is built only when the config asks for it.
+    for (const bool emit : {false, true}) {
+        ServiceConfig scfg;
+        EXPECT_FALSE(scfg.engine.emit_processed);
+        scfg.engine.emit_processed = emit;
+        scfg.n_workers = 1;
+        SolveService svc(scfg);
+        const Result<JobId> id = svc.submit(one_shot("a", paper_example()));
+        ASSERT_TRUE(id.ok());
+        const Result<JobOutcome> out = svc.wait(*id);
+        ASSERT_TRUE(out.ok());
+        EXPECT_EQ(out->report.verdict, sat::Result::kSat);
+        EXPECT_EQ(out->report.processed_cnf.cnf.num_vars > 0, emit);
+        EXPECT_EQ(out->report.processed_anf.empty(), !emit);
+    }
+}
+
 TEST(Service, EightConcurrentClientsMixedWorkloads) {
     // The acceptance scenario: >= 8 concurrent clients against ONE
     // service, mixing one-shot jobs and warm session sweeps; every
