@@ -27,23 +27,27 @@ struct Row {
     size_t sat = 0, unsat = 0;
 };
 
-Row run(const std::vector<const sat::Cnf*>& instances, sat::SolverKind kind,
-        bool with, const BenchScale& scale) {
+/// Solve the suite instances `set` (indices into `suite`) in one cell;
+/// every answer goes through `check`.
+Row run(const std::vector<cnfgen::SuiteInstance>& suite,
+        const std::vector<size_t>& set, const char* set_name,
+        sat::SolverKind kind, bool with, const BenchScale& scale,
+        bench::AnswerCheck& check) {
+    const std::string label = std::string(set_name) + " " +
+                              sat::SolverSpec(kind).spec +
+                              (with ? " w" : " w/o");
     Row row;
     std::vector<SolveOutcome> outcomes;
-    for (const sat::Cnf* cnf : instances) {
-        const Result<SolveOutcome> out = solve(
-            Problem::from_cnf(*cnf), bench::make_config(kind, with, scale));
-        if (!out.ok()) {
-            // Score the failure as unsolved so it penalises PAR-2.
-            std::fprintf(stderr, "c solve error: %s\n",
-                         out.status().to_string().c_str());
-            outcomes.emplace_back();
-            continue;
-        }
-        outcomes.push_back(*out);
-        if (out->result == sat::Result::kSat) ++row.sat;
-        if (out->result == sat::Result::kUnsat) ++row.unsat;
+    for (const size_t i : set) {
+        const Result<SolveOutcome> out =
+            solve(Problem::from_cnf(suite[i].cnf),
+                  bench::make_config(kind, with, scale));
+        check.record(i, label, out);
+        // A failed run scores as unsolved so it penalises PAR-2.
+        outcomes.push_back(out.ok() ? *out : SolveOutcome{});
+        const sat::Result r = outcomes.back().result;
+        if (r == sat::Result::kSat) ++row.sat;
+        if (r == sat::Result::kUnsat) ++row.unsat;
     }
     row.par2 = par2_score(outcomes, scale.timeout_s);
     return row;
@@ -70,17 +74,21 @@ int main() {
     }
     std::printf("), timeout %.0fs\n", scale.timeout_s);
 
-    std::vector<const sat::Cnf*> all;
-    for (const auto& inst : suite) all.push_back(&inst.cnf);
+    // No instance has a known verdict: the check is the cross-cell one,
+    // with the hardness probe as one more cell.
+    bench::AnswerCheck check(std::vector<bool>(suite.size(), false));
+    std::vector<size_t> all;
+    for (size_t i = 0; i < suite.size(); ++i) all.push_back(i);
 
     // Hard subset: proxy difficulty = plain minisat-like runtime, as in the
     // paper (they keep instances needing > 2,500 s; we keep > timeout / 2).
-    std::vector<const sat::Cnf*> hard;
-    for (const auto& inst : suite) {
-        const auto probe = sat::solve_cnf(inst.cnf,
+    std::vector<size_t> hard;
+    for (const size_t i : all) {
+        const auto probe = sat::solve_cnf(suite[i].cnf,
                                           sat::SolverKind::kMinisatLike,
                                           scale.timeout_s / 2);
-        if (probe.result == sat::Result::kUnknown) hard.push_back(&inst.cnf);
+        check.record(i, "hardness probe", probe.result);
+        if (probe.result == sat::Result::kUnknown) hard.push_back(i);
     }
     std::printf("hard subset (minisat-like > %.0fs): %zu instances\n\n",
                 scale.timeout_s / 2, hard.size());
@@ -92,14 +100,15 @@ int main() {
                                           sat::SolverKind::kCmsLike};
     struct Set {
         const char* name;
-        const std::vector<const sat::Cnf*>* instances;
+        const std::vector<size_t>* instances;
     };
     const Set sets[] = {{"SAT-sub (all)", &all}, {"SAT-sub (hard)", &hard}};
     for (const auto& set : sets) {
         for (const bool with : {false, true}) {
             std::printf("%-16s %-3s", with ? "" : set.name, with ? "w" : "w/o");
             for (const auto kind : kKinds) {
-                const Row row = run(*set.instances, kind, with, scale);
+                const Row row = run(suite, *set.instances, set.name, kind,
+                                    with, scale, check);
                 std::printf("  %8.1f (%zu+%zu)", row.par2, row.sat, row.unsat);
             }
             std::printf("\n");
@@ -109,5 +118,5 @@ int main() {
         "\npaper shape: learning helps most on UNSAT instances and for the "
         "GJE-enabled (cms-like) solver; XOR-rich families are decided "
         "inside Bosphorus via GF(2) elimination.\n");
-    return 0;
+    return bench::finish(check.wrong());
 }

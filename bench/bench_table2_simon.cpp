@@ -18,10 +18,11 @@ int main() {
     bench::print_header("Table II -- Simon32/64 rows", scale);
 
     const std::pair<unsigned, unsigned> classes[] = {{8, 6}, {9, 7}, {10, 8}};
+    size_t wrong = 0;
     for (const auto& [n, r] : classes) {
         const std::string name =
             "Simon-[" + std::to_string(n) + "," + std::to_string(r) + "]";
-        bench::run_class_row(
+        wrong += bench::run_class_row(
             name,
             [&, n = n, r = r](size_t i) {
                 const crypto::Simon32 simon(r);
@@ -38,5 +39,5 @@ int main() {
         "\npaper shape: easy [8,6] -> Bosphorus overhead visible; [9,7] -> "
         "Bosphorus turns timeouts into sub-second solves; [10,8] -> hard "
         "for the weak solver even with learning.\n");
-    return 0;
+    return bench::finish(wrong);
 }

@@ -30,9 +30,10 @@ int main() {
         {"SR-[1,4,4,8]", {1, 4, 4, 8}},  // the paper's class
     };
 
+    size_t wrong = 0;
     for (const auto& cls : classes) {
         const crypto::SmallScaleAes aes(cls.params);
-        bench::run_class_row(
+        wrong += bench::run_class_row(
             cls.name,
             [&](size_t i) {
                 Rng rng(scale.seed * 777 + i);
@@ -50,5 +51,5 @@ int main() {
         "laptop timeouts the full class times out for every in-tree "
         "configuration, and the scaled-down classes show the easy-instance "
         "overhead shape.\n");
-    return 0;
+    return bench::finish(wrong);
 }

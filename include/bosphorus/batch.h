@@ -16,11 +16,11 @@
 ///    guarantee is exact for runs that finish within their budget either
 ///    way (give time-critical batches headroom, or a generous budget).
 ///
-///  - `solve_portfolio` / `Engine::solve_portfolio` -- one hard instance,
-///    K diverse technique configurations racing in parallel (XL-heavy,
-///    ElimLin-heavy, Groebner on/off -- see `default_portfolio`). The
-///    first configuration to reach a decisive verdict (SAT/UNSAT) cancels
-///    the others through the cancellation token the Engine threads into
+///  - `solve_portfolio` -- one hard instance, K diverse technique
+///    configurations racing in parallel (XL-heavy, ElimLin-heavy,
+///    Groebner on/off -- see `default_portfolio`). The first
+///    configuration to reach a decisive verdict (SAT/UNSAT) cancels the
+///    others through the cancellation token the Engine threads into
 ///    every technique iteration, so losers stop within one XL/ElimLin
 ///    iteration rather than running to completion.
 ///

@@ -10,8 +10,8 @@
 ///   auto report = engine.run(*problem);
 /// \endcode
 ///
-/// See README.md for the quickstart and the migration table from the
-/// legacy core::Bosphorus / core::solve_*_instance entry points.
+/// See README.md for the quickstart and for the facade calls that
+/// replace the entry points removed in 0.7.
 
 /// \namespace bosphorus
 /// The public API of the Bosphorus (DATE'19) reproduction: Problem
@@ -36,7 +36,7 @@
 /// Library major version; bumped on breaking public-API changes.
 #define BOSPHORUS_VERSION_MAJOR 0
 /// Library minor version; bumped per feature release (one per PR train).
-#define BOSPHORUS_VERSION_MINOR 6
+#define BOSPHORUS_VERSION_MINOR 7
 
 namespace bosphorus {
 

@@ -39,13 +39,7 @@ namespace runtime {
 class SharedFactPool;  // src/runtime/fact_exchange.h
 }  // namespace runtime
 
-// Defined in bosphorus/batch.h (the concurrent-runtime facade); forward
-// declared here so Engine::solve_portfolio can be a member.
-struct PortfolioEntry;
-struct PortfolioReport;
-
-/// Loop parameters (paper section IV defaults). This is the type the
-/// legacy `core::Options` name aliases.
+/// Loop parameters (paper section IV defaults).
 struct EngineConfig {
     core::XlConfig xl;            ///< D = 1, M = 30, deltaM = 4
     core::ElimLinConfig elimlin;  ///< shares M = 30
@@ -258,16 +252,6 @@ public:
     /// own Engine -- they are cheap to construct -- or use BatchEngine,
     /// which does exactly that.
     Result<Report> run(const Problem& problem);
-
-    /// Race several technique configurations on one instance across a
-    /// thread pool; the first decisive finisher cancels the rest. Declared
-    /// here for discoverability; the portfolio types live in
-    /// bosphorus/batch.h (include that to call this). Equivalent to the
-    /// free function solve_portfolio().
-    static Result<PortfolioReport> solve_portfolio(
-        const Problem& problem, const std::vector<PortfolioEntry>& entries,
-        unsigned n_threads = 0,
-        runtime::CancellationToken cancel = {});
 
     /// The loop parameters this Engine was built with.
     const EngineConfig& config() const { return cfg_; }

@@ -26,8 +26,8 @@ struct SolveConfig {
     /// Back-end solver: any spec the bosphorus/sat_backend.h registry
     /// resolves -- "minisat", "lingeling", "cms" (the paper's Table II
     /// axis), "dimacs-exec:<cmd>" for an external binary, or a
-    /// user-registered backend. The legacy sat::SolverKind enum still
-    /// assigns here (it converts to the matching name).
+    /// user-registered backend. A sat::SolverKind also assigns here (it
+    /// converts to the matching name).
     sat::SolverSpec solver;
     double timeout_s = 5000.0;  ///< total per-instance budget
     double engine_budget_s = 1000.0;  ///< the Engine's share of the budget

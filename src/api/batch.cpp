@@ -350,11 +350,4 @@ Result<PortfolioReport> solve_portfolio(const Problem& problem,
     return rep;
 }
 
-Result<PortfolioReport> Engine::solve_portfolio(
-    const Problem& problem, const std::vector<PortfolioEntry>& entries,
-    unsigned n_threads, runtime::CancellationToken cancel) {
-    return ::bosphorus::solve_portfolio(problem, entries, n_threads,
-                                        std::move(cancel));
-}
-
 }  // namespace bosphorus

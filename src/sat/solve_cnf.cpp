@@ -8,23 +8,6 @@
 
 namespace bosphorus::sat {
 
-const char* solver_kind_name(SolverKind kind) {
-    switch (kind) {
-        case SolverKind::kMinisatLike: return "minisat-like";
-        case SolverKind::kLingelingLike: return "lingeling-like";
-        case SolverKind::kCmsLike: return "cms-like";
-    }
-    return "?";
-}
-
-::bosphorus::Result<SolverKind> solver_kind_from_name(const std::string& name) {
-    if (name == "minisat") return SolverKind::kMinisatLike;
-    if (name == "lingeling") return SolverKind::kLingelingLike;
-    if (name == "cms") return SolverKind::kCmsLike;
-    return Status::invalid_argument(
-        "unknown solver '" + name + "' (expected minisat, lingeling or cms)");
-}
-
 void append_xor_as_clauses(Cnf& cnf, const XorConstraint& x, size_t cut) {
     std::vector<Var> work = x.vars;
     const bool rhs = x.rhs;

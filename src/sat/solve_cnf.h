@@ -10,10 +10,8 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "bosphorus/status.h"
 #include "sat/solver.h"
 #include "sat/types.h"
 
@@ -22,14 +20,8 @@ namespace bosphorus::sat {
 enum class SolverKind { kMinisatLike, kLingelingLike, kCmsLike };
 
 /// The back end used when none is specified, everywhere (CLI --solver
-/// default, SolveConfig, PipelineConfig): the CMS-like configuration.
-inline constexpr SolverKind kDefaultSolverKind = SolverKind::kCmsLike;
+/// default, SolveConfig): the CMS-like configuration.
 inline constexpr const char* kDefaultSolverName = "cms";
-
-const char* solver_kind_name(SolverKind kind);
-
-/// Parse a CLI-style solver name: "minisat", "lingeling" or "cms".
-::bosphorus::Result<SolverKind> solver_kind_from_name(const std::string& name);
 
 /// What one CNF-level solve produced. (Named CnfSolveOutcome -- not
 /// SolveOutcome -- so the public bosphorus::SolveOutcome of

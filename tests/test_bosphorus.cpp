@@ -1,64 +1,32 @@
-// End-to-end tests for the Bosphorus workflow (Fig. 1) and the Table II
-// solving pipeline.
+// End-to-end tests for the Bosphorus workflow (Fig. 1) through the Engine
+// facade: ablation switches, learnt facts in the processed CNF, the CNF
+// input path, and a brute-force differential on random ANF.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
 #include "anf/anf_parser.h"
+#include "bosphorus/engine.h"
 #include "cnfgen/generators.h"
-#include "core/bosphorus.h"
-#include "core/pipeline.h"
-#include "crypto/simon.h"
 #include "test_util.h"
 #include "util/rng.h"
 
-namespace bosphorus::core {
+namespace bosphorus {
 namespace {
 
 using anf::parse_system_from_string;
 using anf::Polynomial;
 
-Options small_options() {
-    Options opt;
-    opt.xl.m_budget = 16;
-    opt.elimlin.m_budget = 16;
-    opt.sat_conflicts_start = 1000;
-    opt.sat_conflicts_max = 10'000;
-    opt.sat_conflicts_step = 1000;
-    opt.max_iterations = 8;
-    opt.time_budget_s = 10.0;
-    return opt;
-}
-
-TEST(Bosphorus, SolvesPaperExample) {
-    const auto sys = parse_system_from_string(
-        "x1*x2 + x3 + x4 + 1\n"
-        "x1*x2*x3 + x1 + x3 + 1\n"
-        "x1*x3 + x3*x4*x5 + x3\n"
-        "x2*x3 + x3*x5 + 1\n"
-        "x2*x3 + x5 + 1\n");
-    Bosphorus tool(small_options());
-    const auto res = tool.process_anf(sys.polynomials, 5);
-    ASSERT_EQ(res.status, sat::Result::kSat);
-    const std::vector<bool> expect{true, true, true, true, false};
-    EXPECT_EQ(res.solution, expect) << "unique solution of the system";
-    EXPECT_GT(res.facts_from_xl, 0u) << "XL must contribute facts";
-}
-
-TEST(Bosphorus, DetectsUnsat) {
-    const auto sys = parse_system_from_string(
-        "x1 + x2\n"
-        "x2 + x3\n"
-        "x1 + x3 + 1\n");
-    Bosphorus tool(small_options());
-    const auto res = tool.process_anf(sys.polynomials, 3);
-    EXPECT_EQ(res.status, sat::Result::kUnsat);
-}
-
-TEST(Bosphorus, EmptySystemIsSat) {
-    Bosphorus tool(small_options());
-    const auto res = tool.process_anf({}, 3);
-    EXPECT_EQ(res.status, sat::Result::kSat);
+EngineConfig small_config() {
+    EngineConfig cfg;
+    cfg.xl.m_budget = 16;
+    cfg.elimlin.m_budget = 16;
+    cfg.sat_conflicts_start = 1000;
+    cfg.sat_conflicts_max = 10'000;
+    cfg.sat_conflicts_step = 1000;
+    cfg.max_iterations = 8;
+    cfg.time_budget_s = 10.0;
+    return cfg;
 }
 
 TEST(Bosphorus, AblationSwitchesRespected) {
@@ -68,15 +36,16 @@ TEST(Bosphorus, AblationSwitchesRespected) {
         "x1*x3 + x3*x4*x5 + x3\n"
         "x2*x3 + x3*x5 + 1\n"
         "x2*x3 + x5 + 1\n");
-    Options opt = small_options();
-    opt.use_xl = false;
-    opt.use_elimlin = false;
-    Bosphorus tool(opt);
-    const auto res = tool.process_anf(sys.polynomials, 5);
-    EXPECT_EQ(res.facts_from_xl, 0u);
-    EXPECT_EQ(res.facts_from_elimlin, 0u);
+    EngineConfig cfg = small_config();
+    cfg.use_xl = false;
+    cfg.use_elimlin = false;
+    const auto run =
+        Engine(cfg).run(Problem::from_anf(sys.polynomials, 5));
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
+    EXPECT_EQ(run->facts_from("xl"), 0u);
+    EXPECT_EQ(run->facts_from("elimlin"), 0u);
     // SAT step alone still decides this tiny instance.
-    EXPECT_EQ(res.status, sat::Result::kSat);
+    EXPECT_EQ(run->verdict, sat::Result::kSat);
 }
 
 TEST(Bosphorus, ProcessedCnfCarriesLearntFacts) {
@@ -86,12 +55,13 @@ TEST(Bosphorus, ProcessedCnfCarriesLearntFacts) {
         "x1 + x2\n"
         "x2 + 1\n"
         "x3 + x1 + 1\n");
-    Options opt = small_options();
-    opt.use_sat = false;  // keep it to XL/ElimLin + propagation
-    Bosphorus tool(opt);
-    const auto res = tool.process_anf(sys.polynomials, 3);
-    EXPECT_EQ(res.vars_fixed, 3u);
-    const auto models = testutil::cnf_models(res.processed_cnf.cnf);
+    EngineConfig cfg = small_config();
+    cfg.use_sat = false;  // keep it to XL/ElimLin + propagation
+    const auto run =
+        Engine(cfg).run(Problem::from_anf(sys.polynomials, 3));
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
+    EXPECT_EQ(run->vars_fixed, 3u);
+    const auto models = testutil::cnf_models(run->processed_cnf.cnf);
     ASSERT_EQ(models.size(), 1u);
     EXPECT_EQ(models[0] & 7u, 3u) << "x1=1, x2=1, x3=0";
 }
@@ -99,9 +69,9 @@ TEST(Bosphorus, ProcessedCnfCarriesLearntFacts) {
 TEST(Bosphorus, ProcessCnfAugmentsOriginal) {
     Rng rng(17);
     const sat::Cnf cnf = cnfgen::xor_cycle(8, /*satisfiable=*/false, rng);
-    Bosphorus tool(small_options());
-    const auto res = tool.process_cnf(cnf);
-    EXPECT_EQ(res.status, sat::Result::kUnsat)
+    const auto run = Engine(small_config()).run(Problem::from_cnf(cnf));
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
+    EXPECT_EQ(run->verdict, sat::Result::kUnsat)
         << "GF(2) reasoning should refute an inconsistent xor cycle";
 }
 
@@ -126,81 +96,33 @@ TEST_P(BosphorusRandom, AgreesWithBruteForceOnRandomAnf) {
     }
     const auto models = testutil::anf_models(polys, nv);
 
-    Options opt = small_options();
-    opt.seed = GetParam() + 1;
-    Bosphorus tool(opt);
-    const auto res = tool.process_anf(polys, nv);
+    EngineConfig cfg = small_config();
+    cfg.seed = GetParam() + 1;
+    const auto run = Engine(cfg).run(Problem::from_anf(polys, nv));
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
 
     if (models.empty()) {
-        EXPECT_EQ(res.status, sat::Result::kUnsat);
+        EXPECT_EQ(run->verdict, sat::Result::kUnsat);
     } else {
         // The loop usually finds a solution via its SAT step; it must never
         // claim UNSAT, and any solution must check out.
-        EXPECT_NE(res.status, sat::Result::kUnsat);
-        if (res.status == sat::Result::kSat) {
+        EXPECT_NE(run->verdict, sat::Result::kUnsat);
+        if (run->verdict == sat::Result::kSat) {
             uint32_t m = 0;
             for (unsigned v = 0; v < nv; ++v)
-                if (res.solution[v]) m |= 1u << v;
+                if (run->solution[v]) m |= 1u << v;
             EXPECT_NE(std::find(models.begin(), models.end(), m),
                       models.end());
         }
         // The processed system must preserve the solution set over the
         // original variables.
         const auto processed =
-            testutil::anf_models(res.processed_anf, nv);
+            testutil::anf_models(run->processed_anf, nv);
         EXPECT_EQ(processed, models);
     }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BosphorusRandom, ::testing::Range(0, 25));
-
-// ---- pipeline ---------------------------------------------------------------
-
-TEST(Pipeline, Par2Score) {
-    std::vector<PipelineOutcome> outcomes(3);
-    outcomes[0].result = sat::Result::kSat;
-    outcomes[0].seconds = 1.5;
-    outcomes[1].result = sat::Result::kUnsat;
-    outcomes[1].seconds = 2.0;
-    outcomes[2].result = sat::Result::kUnknown;
-    outcomes[2].seconds = 5.0;  // timed out
-    EXPECT_DOUBLE_EQ(par2_score(outcomes, 5.0), 1.5 + 2.0 + 10.0);
-}
-
-TEST(Pipeline, AnfInstanceBothModes) {
-    const crypto::Simon32 simon(4);
-    Rng rng(5);
-    const auto inst = simon.encode(2, rng);
-
-    for (const bool with : {false, true}) {
-        PipelineConfig cfg;
-        cfg.solver = sat::SolverKind::kCmsLike;
-        cfg.use_bosphorus = with;
-        cfg.bosphorus = small_options();
-        cfg.timeout_s = 30.0;
-        cfg.bosphorus_budget_s = 5.0;
-        const auto out = solve_anf_instance(inst.polys, inst.num_vars, cfg);
-        EXPECT_EQ(out.result, sat::Result::kSat) << "with=" << with;
-        EXPECT_TRUE(out.model_verified || out.solved_in_loop);
-    }
-}
-
-TEST(Pipeline, CnfInstanceBothModes) {
-    Rng rng(6);
-    const sat::Cnf cnf = cnfgen::random_ksat(20, 70, 3, rng);
-    const bool expect_sat = !testutil::cnf_models(cnf).empty();
-    for (const bool with : {false, true}) {
-        PipelineConfig cfg;
-        cfg.solver = sat::SolverKind::kMinisatLike;
-        cfg.use_bosphorus = with;
-        cfg.bosphorus = small_options();
-        cfg.timeout_s = 30.0;
-        cfg.bosphorus_budget_s = 5.0;
-        const auto out = solve_cnf_instance(cnf, cfg);
-        EXPECT_EQ(out.result == sat::Result::kSat, expect_sat)
-            << "with=" << with;
-    }
-}
 
 // ---- cnfgen sanity ---------------------------------------------------------
 
@@ -297,4 +219,4 @@ TEST(RngTest, ShuffleIsPermutation) {
 }
 
 }  // namespace
-}  // namespace bosphorus::core
+}  // namespace bosphorus

@@ -4,6 +4,7 @@
 
 #include <stdexcept>
 
+#include "bosphorus/sat_backend.h"
 #include "core/anf_to_cnf.h"
 #include "core/cnf_to_anf.h"
 #include "crypto/aes_small.h"
@@ -67,7 +68,7 @@ TEST(ErrorPaths, SolveCnfOnContradictoryXors) {
          {sat::SolverKind::kMinisatLike, sat::SolverKind::kLingelingLike,
           sat::SolverKind::kCmsLike}) {
         EXPECT_EQ(sat::solve_cnf(cnf, kind).result, sat::Result::kUnsat)
-            << sat::solver_kind_name(kind);
+            << sat::SolverSpec(kind).spec;
     }
 }
 

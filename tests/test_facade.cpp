@@ -1,7 +1,7 @@
 // Tests for the public library facade: Problem (incremental + file
 // loading), Status/Result propagation, the Engine technique registry with
-// interrupt/progress hooks, and the solve() protocol -- all written against
-// include/bosphorus/ alone.
+// interrupt/progress hooks, and the solve() protocol -- written against
+// include/bosphorus/, with the generators only as instance sources.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,8 +10,10 @@
 
 #include "anf/anf_parser.h"
 #include "bosphorus/bosphorus.h"
-#include "core/pipeline.h"
+#include "cnfgen/generators.h"
+#include "crypto/simon.h"
 #include "test_util.h"
+#include "util/rng.h"
 
 namespace bosphorus {
 namespace {
@@ -324,61 +326,59 @@ TEST(Engine, TechniqueErrorAbortsRunWithStatus) {
     EXPECT_EQ(run.status().code(), StatusCode::kInternal);
 }
 
-// ---- solve() and legacy adapters ------------------------------------------
+// ---- solve(): the Table II protocol ---------------------------------------
 
-TEST(Solve, AnfBothModesThroughFacade) {
-    const auto problem = paper_example();
-    for (const bool with : {false, true}) {
-        SolveConfig cfg;
-        cfg.engine = small_config();
-        cfg.preprocess = with;
-        cfg.timeout_s = 30.0;
-        cfg.engine_budget_s = 5.0;
-        const auto out = solve(problem, cfg);
-        ASSERT_TRUE(out.ok());
-        EXPECT_EQ(out->result, sat::Result::kSat) << "with=" << with;
-        EXPECT_TRUE(out->model_verified || out->solved_in_loop);
+TEST(Solve, WithAndWithoutEngine) {
+    // Each input goes through solve() with and without the engine in front
+    // of its back end; both modes must reach the known verdict.
+    const crypto::Simon32 simon(4);
+    Rng simon_rng(5);
+    const auto simon_inst = simon.encode(2, simon_rng);
+    Rng ksat_rng(6);
+    const sat::Cnf ksat = cnfgen::random_ksat(20, 70, 3, ksat_rng);
+    const sat::Result ksat_verdict = testutil::cnf_models(ksat).empty()
+                                         ? sat::Result::kUnsat
+                                         : sat::Result::kSat;
+    struct Input {
+        const char* name;
+        Problem problem;
+        const char* solver;
+        sat::Result expect;
+    };
+    const Input inputs[] = {
+        {"paper example", paper_example(), "cms", sat::Result::kSat},
+        {"simon32 4 rounds, 2 pairs",
+         Problem::from_anf(simon_inst.polys, simon_inst.num_vars), "cms",
+         sat::Result::kSat},
+        {"random 3-sat n=20", Problem::from_cnf(ksat), "minisat",
+         ksat_verdict},
+    };
+    for (const Input& in : inputs) {
+        for (const bool with : {false, true}) {
+            SolveConfig cfg;
+            cfg.engine = small_config();
+            cfg.preprocess = with;
+            cfg.solver = in.solver;
+            cfg.timeout_s = 30.0;
+            cfg.engine_budget_s = 5.0;
+            const auto out = solve(in.problem, cfg);
+            ASSERT_TRUE(out.ok())
+                << in.name << ": " << out.status().to_string();
+            EXPECT_EQ(out->result, in.expect)
+                << in.name << " with=" << with;
+            if (out->result == sat::Result::kSat) {
+                EXPECT_TRUE(out->model_verified || out->solved_in_loop)
+                    << in.name << " with=" << with;
+            }
+        }
     }
 }
 
-TEST(Solve, LegacyEntryPointsAgreeWithFacade) {
-    // The four old entry points are now one-liners over Problem + Engine;
-    // they must agree with the facade on verdict and solution.
-    const auto problem = paper_example();
-    core::Bosphorus tool(small_config());
-    const auto legacy =
-        tool.process_anf(problem.polynomials(), problem.num_vars());
-    const auto run = Engine(small_config()).run(problem);
-    ASSERT_TRUE(run.ok());
-    EXPECT_EQ(legacy.status, run->verdict);
-    EXPECT_EQ(legacy.solution, run->solution);
-    EXPECT_EQ(legacy.facts_from_xl, run->facts_from("xl"));
-
-    core::PipelineConfig pcfg;
-    pcfg.bosphorus = small_config();
-    pcfg.use_bosphorus = true;
-    pcfg.timeout_s = 30.0;
-    const auto pipe = core::solve_anf_instance(problem.polynomials(),
-                                               problem.num_vars(), pcfg);
-    const auto facade = solve(problem, core::to_solve_config(pcfg));
-    ASSERT_TRUE(facade.ok());
-    EXPECT_EQ(pipe.result, facade->result);
-}
-
 TEST(Solve, DefaultSolverMatchesCliDocumentation) {
-    // The CLI usage text promises `--solver` defaults to cms; the config
-    // structs must agree with the name the CLI would parse.
-    const auto parsed = sat::solver_kind_from_name(sat::kDefaultSolverName);
-    ASSERT_TRUE(parsed.ok());
-    EXPECT_EQ(*parsed, sat::SolverKind::kCmsLike);
-    EXPECT_EQ(core::PipelineConfig{}.solver, *parsed);
-    EXPECT_EQ(SolveConfig{}.solver, *parsed);
-}
-
-TEST(Solve, UnknownSolverNameIsInvalidArgument) {
-    const auto parsed = sat::solver_kind_from_name("kissat");
-    ASSERT_FALSE(parsed.ok());
-    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    // The CLI usage text promises `--solver` defaults to cms; SolveConfig
+    // must default to the same back end.
+    EXPECT_STREQ(sat::kDefaultSolverName, "cms");
+    EXPECT_EQ(SolveConfig{}.solver.spec, sat::kDefaultSolverName);
 }
 
 TEST(Par2Score, SolvedUnsolvedMixAndEmptySet) {

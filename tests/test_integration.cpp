@@ -4,9 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "anf/anf_parser.h"
+#include "bosphorus/bosphorus.h"
 #include "cnfgen/generators.h"
-#include "core/bosphorus.h"
-#include "core/pipeline.h"
 #include "crypto/sha256.h"
 #include "crypto/simon.h"
 #include "sat/preprocess.h"
@@ -24,20 +23,21 @@ TEST(Integration, BitcoinNonceRecoveredAndReverified) {
     const unsigned k = 5, rounds = 16;
     const auto inst = crypto::encode_bitcoin_nonce(k, rounds, rng);
 
-    core::Options opt;
-    opt.xl.m_budget = 18;
-    opt.elimlin.m_budget = 18;
-    opt.sat_conflicts_start = 50'000;
-    opt.time_budget_s = 60.0;
-    core::Bosphorus tool(opt);
-    const auto res = tool.process_anf(inst.polys, inst.num_vars);
+    EngineConfig cfg;
+    cfg.xl.m_budget = 18;
+    cfg.elimlin.m_budget = 18;
+    cfg.sat_conflicts_start = 50'000;
+    cfg.time_budget_s = 60.0;
+    const auto run =
+        Engine(cfg).run(Problem::from_anf(inst.polys, inst.num_vars));
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
 
     std::vector<bool> solution;
-    if (res.status == sat::Result::kSat) {
-        solution = res.solution;
+    if (run->verdict == sat::Result::kSat) {
+        solution = run->solution;
     } else {
-        ASSERT_NE(res.status, sat::Result::kUnsat);
-        const auto so = sat::solve_cnf(res.processed_cnf.cnf,
+        ASSERT_NE(run->verdict, sat::Result::kUnsat);
+        const auto so = sat::solve_cnf(run->processed_cnf.cnf,
                                        sat::SolverKind::kCmsLike, 60.0);
         ASSERT_EQ(so.result, sat::Result::kSat);
         solution.resize(inst.num_vars);
@@ -63,16 +63,18 @@ TEST(Integration, SimonSolutionSatisfiesAllPairs) {
     const crypto::Simon32 simon(5);
     Rng rng(77);
     const auto inst = simon.encode(4, rng);
-    core::PipelineConfig cfg;
-    cfg.solver = sat::SolverKind::kCmsLike;
-    cfg.use_bosphorus = true;
-    cfg.bosphorus.xl.m_budget = 20;
-    cfg.bosphorus.elimlin.m_budget = 20;
+    SolveConfig cfg;
+    cfg.solver = "cms";
+    cfg.preprocess = true;
+    cfg.engine.xl.m_budget = 20;
+    cfg.engine.elimlin.m_budget = 20;
     cfg.timeout_s = 60.0;
-    cfg.bosphorus_budget_s = 20.0;
-    const auto out = core::solve_anf_instance(inst.polys, inst.num_vars, cfg);
-    ASSERT_EQ(out.result, sat::Result::kSat);
-    EXPECT_TRUE(out.model_verified || out.solved_in_loop);
+    cfg.engine_budget_s = 20.0;
+    const auto out =
+        solve(Problem::from_anf(inst.polys, inst.num_vars), cfg);
+    ASSERT_TRUE(out.ok()) << out.status().to_string();
+    ASSERT_EQ(out->result, sat::Result::kSat);
+    EXPECT_TRUE(out->model_verified || out->solved_in_loop);
 }
 
 TEST(Integration, AnfFileRoundTripThroughTool) {
@@ -82,15 +84,15 @@ TEST(Integration, AnfFileRoundTripThroughTool) {
         "x2*x3 + x1 + 1\n"
         "x3 + x4\n";
     const auto sys = anf::parse_system_from_string(text);
-    core::Options opt;
-    opt.xl.m_budget = 16;
-    opt.elimlin.m_budget = 16;
-    opt.use_sat = false;  // keep the processed system non-collapsed
-    core::Bosphorus tool(opt);
-    const auto res = tool.process_anf(sys.polynomials, 4);
+    EngineConfig cfg;
+    cfg.xl.m_budget = 16;
+    cfg.elimlin.m_budget = 16;
+    cfg.use_sat = false;  // keep the processed system non-collapsed
+    const auto run = Engine(cfg).run(Problem::from_anf(sys.polynomials, 4));
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
 
     std::ostringstream out;
-    anf::write_system(out, res.processed_anf);
+    anf::write_system(out, run->processed_anf);
     const auto again = anf::parse_system_from_string(out.str());
     EXPECT_EQ(testutil::anf_models(sys.polynomials, 4),
               testutil::anf_models(again.polynomials, 4));
@@ -101,16 +103,23 @@ TEST(Integration, GroebnerPlusSatOnSimon) {
     const crypto::Simon32 simon(4);
     Rng rng(9);
     const auto inst = simon.encode(2, rng);
-    core::Options opt;
-    opt.use_groebner = true;
-    opt.groebner.max_pair_degree = 3;
-    opt.xl.m_budget = 18;
-    opt.elimlin.m_budget = 18;
-    opt.time_budget_s = 30.0;
-    core::Bosphorus tool(opt);
-    const auto res = tool.process_anf(inst.polys, inst.num_vars);
-    EXPECT_NE(res.status, sat::Result::kUnsat)
+    EngineConfig cfg;
+    cfg.use_groebner = true;
+    cfg.groebner.max_pair_degree = 3;
+    cfg.xl.m_budget = 18;
+    cfg.elimlin.m_budget = 18;
+    cfg.time_budget_s = 30.0;
+    const auto run =
+        Engine(cfg).run(Problem::from_anf(inst.polys, inst.num_vars));
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
+    EXPECT_NE(run->verdict, sat::Result::kUnsat)
         << "satisfiable instance (witness exists) flagged UNSAT";
+    if (run->verdict == sat::Result::kSat) {
+        // The in-loop solution must satisfy the original equations.
+        ASSERT_GE(run->solution.size(), inst.num_vars);
+        for (const auto& poly : inst.polys)
+            EXPECT_FALSE(poly.evaluate(run->solution)) << poly.to_string();
+    }
 }
 
 // ---- solver robustness ----------------------------------------------------

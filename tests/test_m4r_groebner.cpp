@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "anf/anf_parser.h"
-#include "core/bosphorus.h"
+#include "bosphorus/engine.h"
 #include "core/groebner.h"
 #include "gf2/gf2_matrix.h"
 #include "test_util.h"
@@ -154,18 +154,18 @@ TEST(Groebner, PluggedIntoTheLoop) {
         "x1*x2 + x3\n"
         "x1*x3\n"
         "x2 + x1 + 1\n");
-    core::Options opt;
-    opt.use_xl = false;
-    opt.use_elimlin = false;
-    opt.use_groebner = true;
-    opt.xl.m_budget = 16;
-    opt.max_iterations = 8;
-    core::Bosphorus tool(opt);
-    const auto res = tool.process_anf(sys.polynomials, 3);
-    EXPECT_GT(res.facts_from_groebner + res.vars_fixed, 0u);
-    EXPECT_NE(res.status, sat::Result::kUnsat);
+    EngineConfig cfg;
+    cfg.use_xl = false;
+    cfg.use_elimlin = false;
+    cfg.use_groebner = true;
+    cfg.xl.m_budget = 16;
+    cfg.max_iterations = 8;
+    const auto run = Engine(cfg).run(Problem::from_anf(sys.polynomials, 3));
+    ASSERT_TRUE(run.ok()) << run.status().to_string();
+    EXPECT_GT(run->facts_from("groebner") + run->vars_fixed, 0u);
+    EXPECT_NE(run->verdict, sat::Result::kUnsat);
     const auto models = testutil::anf_models(sys.polynomials, 3);
-    const auto processed = testutil::anf_models(res.processed_anf, 3);
+    const auto processed = testutil::anf_models(run->processed_anf, 3);
     EXPECT_EQ(models, processed);
 }
 

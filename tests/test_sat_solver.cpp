@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "bosphorus/sat_backend.h"
 #include "cnfgen/generators.h"
 #include "sat/dimacs.h"
 #include "sat/preprocess.h"
@@ -379,10 +380,10 @@ TEST_P(SolverRandom, AllKindsAgree) {
           SolverKind::kCmsLike}) {
         const CnfSolveOutcome out = solve_cnf(cnf, kind);
         EXPECT_EQ(out.result, expect_sat ? Result::kSat : Result::kUnsat)
-            << solver_kind_name(kind);
+            << SolverSpec(kind).spec;
         if (out.result == Result::kSat) {
             EXPECT_TRUE(model_satisfies(cnf, out.model))
-                << solver_kind_name(kind);
+                << SolverSpec(kind).spec;
         }
     }
 }
@@ -398,7 +399,7 @@ TEST_P(SolverRandom, XorRichInstancesAllKinds) {
         const CnfSolveOutcome out = solve_cnf(cnf, kind);
         EXPECT_EQ(out.result,
                   satisfiable ? Result::kSat : Result::kUnsat)
-            << solver_kind_name(kind) << " len=" << len;
+            << SolverSpec(kind).spec << " len=" << len;
         if (out.result == Result::kSat)
             EXPECT_TRUE(model_satisfies(cnf, out.model));
     }
