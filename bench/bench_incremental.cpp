@@ -14,11 +14,11 @@
 //    the SAT solutions (the planted system is overdetermined, so models
 //    are unique);
 //  * a second warm sweep reproduces the first exactly (determinism);
-//  * a third sweep with SAT in-processing disabled must match the cold
-//    verdicts bit for bit, and the in-processing cold overhead must stay
-//    within 5% (+0.1s absolute timing slack);
 //  * the warm loop must not be slower than cold (5% noise slack; the
 //    strict comparison is still reported as warm_strictly_faster).
+// The cold sweep time and the verdict counts are compared against the
+// checked-in baseline (bench/baselines/BENCH_incremental_baseline.json)
+// by the CI job, not by this binary.
 //
 // Output is machine-readable JSON, printed to stdout and written to
 // BENCH_incremental.json (override with BENCH_JSON_OUT). Knobs:
@@ -89,44 +89,28 @@ int main() {
     const EngineConfig cfg = bench_config(seed);
 
     // (a) Cold reference: every candidate re-materialises the full system
-    // (base + assumption units) and runs a fresh one-shot Engine. Run
-    // once with the default config and once with SAT in-processing
-    // disabled -- the verdicts must agree exactly and the in-processing
-    // overhead on cold one-shot solves is gated below.
-    auto cold_sweep = [&](const EngineConfig& sweep_cfg, double* seconds,
-                          std::vector<Outcome>* out) {
-        Timer cold_timer;
-        out->clear();
-        out->reserve(n_candidates);
-        for (size_t mask = 0; mask < n_candidates; ++mask) {
-            Problem p = base;
-            for (size_t v = 0; v < sweep_bits; ++v) {
-                anf::Polynomial unit = anf::Polynomial::variable(
-                    static_cast<anf::Var>(v));
-                if ((mask >> v) & 1) unit += anf::Polynomial::constant(true);
-                if (!p.add_polynomial(unit).ok()) return false;
-            }
-            Engine engine(sweep_cfg);
-            Result<Report> r = engine.run(p);
-            if (!r.ok()) {
-                std::fprintf(stderr, "cold run %zu failed: %s\n", mask,
-                             r.status().to_string().c_str());
-                return false;
-            }
-            out->push_back({r->verdict, std::move(r->solution)});
-        }
-        *seconds = cold_timer.seconds();
-        return true;
-    };
-    double cold_s = 0.0;
+    // (base + assumption units) and runs a fresh one-shot Engine.
+    Timer cold_timer;
     std::vector<Outcome> cold;
-    if (!cold_sweep(cfg, &cold_s, &cold)) return 1;
-
-    EngineConfig cfg_noinproc = cfg;
-    cfg_noinproc.sat_inprocess = false;
-    double cold_noinproc_s = 0.0;
-    std::vector<Outcome> cold_noinproc;
-    if (!cold_sweep(cfg_noinproc, &cold_noinproc_s, &cold_noinproc)) return 1;
+    cold.reserve(n_candidates);
+    for (size_t mask = 0; mask < n_candidates; ++mask) {
+        Problem p = base;
+        for (size_t v = 0; v < sweep_bits; ++v) {
+            anf::Polynomial unit =
+                anf::Polynomial::variable(static_cast<anf::Var>(v));
+            if ((mask >> v) & 1) unit += anf::Polynomial::constant(true);
+            if (!p.add_polynomial(unit).ok()) return 1;
+        }
+        Engine engine(cfg);
+        Result<Report> r = engine.run(p);
+        if (!r.ok()) {
+            std::fprintf(stderr, "cold run %zu failed: %s\n", mask,
+                         r.status().to_string().c_str());
+            return 1;
+        }
+        cold.push_back({r->verdict, std::move(r->solution)});
+    }
+    const double cold_s = cold_timer.seconds();
 
     // (b) The warm loop: one Session, one base simplification, push /
     // assume / solve / pop per candidate. Run twice for the determinism
@@ -196,15 +180,6 @@ int main() {
         }
     }
 
-    // In-processing differential: same verdicts (and models) with the
-    // engine on and off, and a bounded cold-solve overhead. The absolute
-    // 0.1s slack keeps the 5% relative gate meaningful at sub-second
-    // sweep times, where timer noise dominates.
-    const bool inproc_verdicts_identical = cold_noinproc == cold;
-    const double inprocess_overhead =
-        cold_noinproc_s > 0 ? cold_s / cold_noinproc_s - 1.0 : 0.0;
-    const bool inproc_overhead_ok =
-        cold_s <= cold_noinproc_s * 1.05 + 0.1;
     const bool warm_not_slower = warm_s <= cold_s * 1.05;
 
     const double speedup = warm_s > 0 ? cold_s / warm_s : 0.0;
@@ -219,13 +194,9 @@ int main() {
         "  \"candidates\": %zu,\n"
         "  \"seed\": %llu,\n"
         "  \"cold_s\": %.4f,\n"
-        "  \"cold_no_inprocess_s\": %.4f,\n"
         "  \"warm_s\": %.4f,\n"
         "  \"warm_repeat_s\": %.4f,\n"
         "  \"speedup\": %.3f,\n"
-        "  \"inprocess_overhead\": %.4f,\n"
-        "  \"inprocess_overhead_ok\": %s,\n"
-        "  \"inprocess_verdicts_identical\": %s,\n"
         "  \"warm_strictly_faster\": %s,\n"
         "  \"warm_not_slower\": %s,\n"
         "  \"verdicts_identical\": %s,\n"
@@ -235,10 +206,8 @@ int main() {
         "  \"verdicts\": {\"sat\": %zu, \"unsat\": %zu, \"unknown\": %zu}\n"
         "}\n",
         num_vars, num_eqs, sweep_bits, n_candidates,
-        static_cast<unsigned long long>(seed), cold_s, cold_noinproc_s,
-        warm_s, warm2_s, speedup, inprocess_overhead,
-        inproc_overhead_ok ? "true" : "false",
-        inproc_verdicts_identical ? "true" : "false",
+        static_cast<unsigned long long>(seed), cold_s, warm_s, warm2_s,
+        speedup,
         warm_s < cold_s ? "true" : "false",
         warm_not_slower ? "true" : "false",
         identical ? "true" : "false", no_contradiction ? "true" : "false",
@@ -250,7 +219,6 @@ int main() {
     else std::fprintf(stderr, "warning: cannot write %s\n", json_path);
 
     return (no_contradiction && as_decisive && deterministic &&
-            inproc_verdicts_identical && inproc_overhead_ok &&
             warm_not_slower)
                ? 0
                : 1;

@@ -11,7 +11,7 @@
 /// \endcode
 ///
 /// See README.md for the quickstart and for the facade calls that
-/// replace the entry points removed in 0.7.
+/// replace the entry points removed in 0.7 and 0.8.
 
 /// \namespace bosphorus
 /// The public API of the Bosphorus (DATE'19) reproduction: Problem
@@ -36,7 +36,7 @@
 /// Library major version; bumped on breaking public-API changes.
 #define BOSPHORUS_VERSION_MAJOR 0
 /// Library minor version; bumped per feature release (one per PR train).
-#define BOSPHORUS_VERSION_MINOR 7
+#define BOSPHORUS_VERSION_MINOR 8
 
 namespace bosphorus {
 

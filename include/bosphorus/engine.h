@@ -65,23 +65,10 @@ struct EngineConfig {
     bool use_xl = true;       ///< ablation switches: register XL...
     bool use_elimlin = true;  ///< ... ElimLin ...
     bool use_sat = true;      ///< ... and the conflict-bounded SAT step
-    bool sat_native_xor = true;  ///< in-loop solver uses native XOR + GJE
-
-    /// In-processing engine of the native in-loop solver (vivification,
-    /// tiered learnt-DB management, feature-driven profile selection; see
-    /// src/sat/inprocess/). Off reproduces the legacy solver numerically.
-    bool sat_inprocess = true;
-    /// Native-solver profile: "auto" (feature rule, re-evaluated per solve
-    /// call), "fixed" (honour sat_restart_base / learnt-DB knobs), or one
-    /// of "balanced", "crypto-xor", "agile-restart", "heavy-tail".
-    std::string sat_profile = "auto";
-    /// Luby restart unit in conflicts (<= 0: solver default, 100).
-    /// Authoritative only under sat_profile = "fixed".
-    int sat_restart_base = 0;
-    /// Floor of the learnt-DB local-tier cap (<= 0: default, 1000).
-    int64_t sat_learnt_db_floor = 0;
-    /// Local-tier cap growth per reduction (<= 0: default, 1.1).
-    double sat_learnt_db_growth = 0.0;
+    /// In-loop solver uses native XOR + GJE. The native solver always
+    /// runs its in-processing engine (vivification, tiered learnt DB and
+    /// a profile selected per solve call; see src/sat/inprocess/).
+    bool sat_native_xor = true;
 
     /// In-loop SAT back end (see bosphorus/sat_backend.h): empty keeps
     /// the built-in native solver configured by `sat_native_xor`; any

@@ -257,26 +257,6 @@ struct SatTechniqueConfig {
     /// holds -- see there). Null keeps the isolated path.
     std::shared_ptr<runtime::SharedFactPool> fact_pool;
     unsigned coop_worker = 0;  ///< this worker's id in the pool
-
-    // ---- native-solver in-processing (src/sat/inprocess/) ----------------
-    /// Master switch for the in-processing engine (vivification, tiered
-    /// learnt-DB management, profile auto-reconfiguration) of the native
-    /// solver. Off reproduces the legacy solver numerically. Ignored by
-    /// external backends.
-    bool inprocess = true;
-    /// Solver profile: "auto" (feature-driven selection, re-evaluated per
-    /// solve call), "fixed" (honour the explicit knobs below), or a named
-    /// profile -- "balanced", "crypto-xor", "agile-restart", "heavy-tail".
-    /// Unknown names surface as a config error at step().
-    std::string sat_profile = "auto";
-    /// Luby restart unit in conflicts for the native solver (<= 0: keep
-    /// the solver default, 100). Only authoritative under "fixed" -- named
-    /// and auto profiles override it.
-    int restart_base = 0;
-    /// Floor of the learnt-DB local-tier cap (<= 0: default, 1000).
-    int64_t learnt_db_floor = 0;
-    /// Local-tier cap growth per reduction (<= 0: default, 1.1).
-    double learnt_db_growth = 0.0;
 };
 
 /// The conflict-bounded SAT step (see SatTechniqueConfig) as a Technique.

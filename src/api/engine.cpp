@@ -54,11 +54,6 @@ std::vector<std::unique_ptr<Technique>> make_default_techniques(
         sat_cfg.conflicts_step = cfg.sat_conflicts_step;
         sat_cfg.harvest_binary_clauses = cfg.harvest_binary_clauses;
         sat_cfg.backend = cfg.sat_backend;
-        sat_cfg.inprocess = cfg.sat_inprocess;
-        sat_cfg.sat_profile = cfg.sat_profile;
-        sat_cfg.restart_base = cfg.sat_restart_base;
-        sat_cfg.learnt_db_floor = cfg.sat_learnt_db_floor;
-        sat_cfg.learnt_db_growth = cfg.sat_learnt_db_growth;
         if (cfg.cooperative && cfg.fact_pool) {
             sat_cfg.fact_pool = cfg.fact_pool;
             sat_cfg.coop_worker = cfg.coop_worker;

@@ -144,15 +144,7 @@ void decide_from_model(core::AnfSystem& sys, size_t num_vars,
 class SatTechnique final : public Technique {
 public:
     explicit SatTechnique(const SatTechniqueConfig& cfg)
-        : cfg_(cfg), conflict_budget_(cfg.conflicts_start) {
-        sat::inprocess::ProfileId id;
-        if (!sat::inprocess::profile_from_name(cfg_.sat_profile, id)) {
-            config_error_ = Status::invalid_argument(
-                "unknown sat profile '" + cfg_.sat_profile +
-                "' (expected auto, fixed, balanced, crypto-xor, "
-                "agile-restart or heavy-tail)");
-        }
-    }
+        : cfg_(cfg), conflict_budget_(cfg.conflicts_start) {}
     std::string name() const override { return "sat"; }
 
     /// The native solver configuration every native path (persistent live
@@ -161,16 +153,6 @@ public:
     sat::Solver::Config solver_config() const {
         sat::Solver::Config scfg;
         scfg.enable_xor = cfg_.native_xor;
-        scfg.inprocess.enabled = cfg_.inprocess;
-        sat::inprocess::ProfileId id;
-        if (sat::inprocess::profile_from_name(cfg_.sat_profile, id))
-            scfg.inprocess.profile = id;
-        if (cfg_.restart_base > 0) scfg.restart_base = cfg_.restart_base;
-        if (cfg_.learnt_db_floor > 0)
-            scfg.inprocess.local_cap_min =
-                static_cast<size_t>(cfg_.learnt_db_floor);
-        if (cfg_.learnt_db_growth > 0)
-            scfg.inprocess.local_cap_growth = cfg_.learnt_db_growth;
         return scfg;
     }
 
@@ -284,11 +266,6 @@ public:
     // decide_from_model) are factored; the per-path solver plumbing
     // stays separate on purpose.
     StepReport step(core::AnfSystem& sys, FactSink& sink) override {
-        if (!config_error_.ok()) {
-            StepReport report;
-            report.status = config_error_;
-            return report;
-        }
         if (!cfg_.backend.empty()) {
             if (!backend_error_.ok()) {
                 StepReport report;
@@ -633,7 +610,6 @@ private:
     std::unique_ptr<sat::Solver> live_;  ///< persistent Session solver
     std::unique_ptr<sat::SolverBackend> live_backend_;  ///< named-backend twin
     Status backend_error_;  ///< a failed bind_base, surfaced at step()
-    Status config_error_;   ///< a bad SatTechniqueConfig, surfaced at step()
     size_t live_num_anf_vars_ = 0;
     // Cooperative exchange state: the private import cursor, the cache of
     // foreign facts drained so far (cold paths re-inject all of it), and

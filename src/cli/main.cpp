@@ -27,7 +27,6 @@
 #include "bosphorus/bosphorus.h"
 #include "runtime/thread_pool.h"
 #include "sat/dimacs.h"
-#include "sat/inprocess/profiles.h"
 #include "sat/solve_cnf.h"
 #include "util/fault.h"
 #include "util/timer.h"
@@ -102,17 +101,6 @@ void usage() {
         "  --maxiters N    max outer-loop iterations (64)\n"
         "  --timeout S     Bosphorus time budget in seconds (1000)\n"
         "  --no-xl / --no-el / --no-sat   disable a learning step\n"
-        "  --sat-profile P  native in-loop solver profile: auto (default,\n"
-        "                  feature-driven, re-evaluated per solve) | fixed\n"
-        "                  | balanced | crypto-xor | agile-restart |\n"
-        "                  heavy-tail\n"
-        "  --sat-restart-base N  Luby restart unit in conflicts (100);\n"
-        "                  implies --sat-profile fixed unless a profile is\n"
-        "                  given explicitly\n"
-        "  --sat-db-floor N      learnt-DB local-tier cap floor (1000);\n"
-        "                  same implied-fixed rule\n"
-        "  --no-inprocess  disable native-solver in-processing entirely\n"
-        "                  (vivification, tiered learnt DB, profiles)\n"
         "  --gb            enable the Groebner (Buchberger/F4) step\n"
         "  --seed N        RNG seed (1)\n"
         "  --fault-plan P  arm deterministic fault injection, e.g.\n"
@@ -244,8 +232,6 @@ int run(int argc, char** argv) {
     unsigned n_threads = 0;  // 0 = hardware concurrency
     std::vector<std::string> batch_files;
     EngineConfig opt;
-    bool sat_profile_explicit = false;
-    bool sat_knob_explicit = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string a = argv[i];
@@ -308,26 +294,6 @@ int run(int argc, char** argv) {
         else if (a == "--maxiters") opt.max_iterations = std::stoul(next());
         else if (a == "--timeout") opt.time_budget_s = std::stod(next());
         else if (a == "--gb") opt.use_groebner = true;
-        else if (a == "--sat-profile") {
-            opt.sat_profile = next();
-            sat::inprocess::ProfileId pid;
-            if (!sat::inprocess::profile_from_name(opt.sat_profile, pid)) {
-                std::fprintf(stderr, "unknown --sat-profile: %s\n",
-                             opt.sat_profile.c_str());
-                usage();
-                return 2;
-            }
-            sat_profile_explicit = true;
-        }
-        else if (a == "--sat-restart-base") {
-            opt.sat_restart_base = std::stoi(next());
-            sat_knob_explicit = true;
-        }
-        else if (a == "--sat-db-floor") {
-            opt.sat_learnt_db_floor = std::stoll(next());
-            sat_knob_explicit = true;
-        }
-        else if (a == "--no-inprocess") opt.sat_inprocess = false;
         else if (a == "--no-xl") opt.use_xl = false;
         else if (a == "--no-el") opt.use_elimlin = false;
         else if (a == "--no-sat") opt.use_sat = false;
@@ -344,10 +310,6 @@ int run(int argc, char** argv) {
             return 2;
         }
     }
-    // Explicit solver knobs are dead weight while a profile overrides
-    // them: --sat-restart-base / --sat-db-floor imply --sat-profile fixed
-    // unless a profile was named explicitly.
-    if (sat_knob_explicit && !sat_profile_explicit) opt.sat_profile = "fixed";
     if (batch_mode) {
         if (batch_files.empty()) {
             std::fprintf(stderr, "--batch needs at least one input file\n");

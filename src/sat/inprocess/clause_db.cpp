@@ -21,8 +21,8 @@ ClauseDbManager::~ClauseDbManager() {
 }
 
 Tier ClauseDbManager::classify(uint32_t lbd) const {
-    if (lbd <= cfg_.core_lbd_cut) return kCore;
-    if (lbd <= cfg_.mid_lbd_cut) return kMid;
+    if (lbd <= profile_.core_lbd_cut) return kCore;
+    if (lbd <= profile_.mid_lbd_cut) return kMid;
     return kLocal;
 }
 
@@ -56,8 +56,7 @@ void ClauseDbManager::on_removed(Tier tier) { --tier_slot(counts_, tier); }
 
 bool ClauseDbManager::should_reduce(size_t problem_clauses) {
     if (local_cap_ <= 0) {
-        // Seeded once with the legacy formula; unlike the legacy cap it is
-        // never reset on subsequent solve calls.
+        // Seeded once; never reset on subsequent solve calls.
         local_cap_ = std::max(static_cast<double>(problem_clauses) / 3.0,
                               static_cast<double>(cfg_.local_cap_min));
     }
@@ -144,15 +143,11 @@ void ClauseDbManager::reduce(Solver& s) {
     }
     s.learnts_ = std::move(kept);
 
-    local_cap_ *= cfg_.local_cap_growth;
+    local_cap_ *= profile_.local_cap_growth;
     publish_gauges();
 }
 
-void ClauseDbManager::apply_profile(const SolverProfile& p) {
-    cfg_.core_lbd_cut = p.core_lbd_cut;
-    cfg_.mid_lbd_cut = p.mid_lbd_cut;
-    cfg_.local_cap_growth = p.local_cap_growth;
-}
+void ClauseDbManager::apply_profile(const SolverProfile& p) { profile_ = p; }
 
 void ClauseDbManager::publish_gauges() {
     auto& g = counters();

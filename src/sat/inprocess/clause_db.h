@@ -12,10 +12,9 @@
 //    deleted; clauses that were used since the last reduction are
 //    promoted to mid instead (survival promotion).
 //
-// Unlike the legacy single-shot reduce_db(), the cap and all tier state
-// persist across solve calls: a warm Session's live solver garbage
-// collects its accumulated learnts instead of resetting the limit (and
-// thus hoarding) on every re-solve.
+// The cap and all tier state persist across solve calls: a warm
+// Session's live solver garbage collects its accumulated learnts instead
+// of resetting the limit (and thus hoarding) on every re-solve.
 #pragma once
 
 #include <cstddef>
@@ -31,8 +30,7 @@ namespace bosphorus::sat::inprocess {
 
 /// Clause tier tags, stored in Solver::Clause::tier. kUntracked marks
 /// clauses the manager does not own: problem clauses, XOR conflict/reason
-/// clauses (allocated learnt but never entering the learnt list), and
-/// every clause when in-processing is disabled.
+/// clauses (allocated learnt but never entering the learnt list).
 enum Tier : uint8_t { kCore = 0, kMid = 1, kLocal = 2, kUntracked = 3 };
 
 class ClauseDbManager {
@@ -71,8 +69,8 @@ public:
 
     /// True when the local tier outgrew the persistent cap and a reduce()
     /// sweep is due. `problem_clauses` seeds the initial cap the first
-    /// time it is consulted (max(problem/3, local_cap_min), the legacy
-    /// formula -- but seeded once, never reset per call).
+    /// time it is consulted (max(problem/3, local_cap_min)); it is seeded
+    /// once, never reset per call.
     bool should_reduce(size_t problem_clauses);
 
     /// One tiered reduction sweep over s.learnts_ (see the file comment).
@@ -85,7 +83,7 @@ public:
     uint64_t reductions() const { return reductions_; }
     double local_cap() const { return local_cap_; }
 
-    /// Apply a named profile's tier knobs (kAuto reconfiguration).
+    /// Apply a named profile's tier knobs (cuts and cap growth).
     void apply_profile(const SolverProfile& p);
 
     // Diagnostics the "glue/locked never deleted" tests pin: these count
@@ -96,7 +94,10 @@ public:
 private:
     void publish_gauges();
 
-    InprocessConfig cfg_;  ///< tier knobs (profile-overridable copy)
+    InprocessConfig cfg_;
+    /// The tier cuts and cap growth in effect: balanced until the
+    /// solver's first profile selection.
+    SolverProfile profile_ = profile(ProfileId::kBalanced);
     TierCounts counts_;
     TierCounts published_;  ///< last gauge report to counters()
     double local_cap_ = 0;  ///< 0 = not yet seeded

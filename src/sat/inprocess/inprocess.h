@@ -9,8 +9,9 @@
 //    policy with glue protection, survival promotion and a *persistent*
 //    cap, so clause management carries across warm Session::solve calls
 //    instead of resetting per call (reducedb.cpp).
-//  * profiles.h/features.h: ~4 named configurations picked per solve by a
-//    hand-rolled feature rule (the scripts/reconf.py shape, no ML).
+//  * profiles.h/features.h: four named configurations, one picked per
+//    solve by a hand-rolled feature rule (the scripts/reconf.py shape,
+//    no ML).
 //
 // Everything is deterministic: given (formula, config, call sequence) the
 // vivification passes, reductions and reconfiguration decisions replay
@@ -19,33 +20,20 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
 #include "sat/inprocess/profiles.h"
 
 namespace bosphorus::sat::inprocess {
 
-/// All in-processing knobs, embedded in Solver::Config. The defaults are
-/// the kBalanced profile's values; named profiles override the marked
-/// fields per solve call.
+/// The in-processing knobs that are not part of a profile, embedded in
+/// Solver::Config. The profile knobs (search parameters, tier cuts,
+/// vivification cadence and budget) live only in the profile table of
+/// profiles.cpp and are selected per solve call.
 struct InprocessConfig {
-    /// Master switch. Off reproduces the legacy solver numerically:
-    /// single-tier activity/LBD reduce_db with a per-call cap, no
-    /// vivification, no reconfiguration.
-    bool enabled = true;
-
-    /// Which configuration to run (see profiles.h). kAuto re-evaluates
-    /// the feature rule at every solve call (and once more after the
-    /// first learnt-LBD window); kFixed pins the explicit Config knobs.
-    ProfileId profile = ProfileId::kAuto;
-
-    // ---- vivification (profile-overridable) ------------------------------
+    // ---- vivification ------------------------------------------------------
     bool vivify = true;  ///< run the Vivifier at restart boundaries
-    /// Propagations one vivification pass may spend before yielding.
-    uint64_t vivify_propagation_budget = 200'000;
-    /// Run a pass every Nth restart (and once at the start of each warm
-    /// re-solve; never at the start of a first/cold call).
-    uint32_t vivify_restart_interval = 6;
     /// Clauses longer than this are skipped (budget goes further on the
     /// short clauses propagation actually visits).
     uint32_t vivify_max_clause_size = 64;
@@ -55,15 +43,11 @@ struct InprocessConfig {
     /// matters on the short solves of a warm assumption sweep.
     uint64_t vivify_min_conflicts = 300;
 
-    // ---- tiered learnt DB (profile-overridable) --------------------------
-    uint32_t core_lbd_cut = 3;  ///< LBD <= this: core, never deleted
-    uint32_t mid_lbd_cut = 6;   ///< LBD <= this: mid, survival-protected
+    // ---- tiered learnt DB --------------------------------------------------
     /// Reductions a mid clause may sit unused before demotion to local.
     uint32_t mid_idle_limit = 2;
     /// Floor of the local-tier cap (the persistent reduce trigger).
     size_t local_cap_min = 1000;
-    /// Local-tier cap growth per reduction (persists across solve calls).
-    double local_cap_growth = 1.1;
 
     /// Conflicts of the opening LBD window feeding
     /// InstanceFeatures::avg_first_window_lbd.

@@ -53,23 +53,7 @@ ProfileId select_profile(const InstanceFeatures& f) {
 }
 
 const char* profile_name(ProfileId id) {
-    switch (id) {
-        case ProfileId::kAuto: return "auto";
-        case ProfileId::kFixed: return "fixed";
-        default: return profile(id).name;
-    }
-}
-
-bool profile_from_name(const std::string& name, ProfileId& id) {
-    if (name == "auto") { id = ProfileId::kAuto; return true; }
-    if (name == "fixed") { id = ProfileId::kFixed; return true; }
-    for (int i = 0; i < static_cast<int>(sizeof(kProfiles) / sizeof(kProfiles[0])); ++i) {
-        if (name == kProfiles[i].name) {
-            id = static_cast<ProfileId>(kFirstNamed + i);
-            return true;
-        }
-    }
-    return false;
+    return id == ProfileId::kAuto ? "auto" : profile(id).name;
 }
 
 }  // namespace bosphorus::sat::inprocess

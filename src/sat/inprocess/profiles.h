@@ -11,30 +11,26 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 namespace bosphorus::sat::inprocess {
 
 struct InstanceFeatures;
 
-/// The selectable configurations. kFixed means "use the Solver::Config
-/// knobs exactly as given" (this is also the numeric behaviour of a
-/// pre-in-processing solver); kAuto re-runs the decision rule at every
-/// solve call.
+/// The named configurations. kAuto names no configuration: it is what
+/// Solver::active_profile() reports before the first solve call has run
+/// select_profile().
 enum class ProfileId : uint8_t {
-    kAuto = 0,      ///< select_profile() decides, re-evaluated per solve
-    kFixed,         ///< honour the explicit Solver::Config knobs
+    kAuto = 0,      ///< no profile applied yet
     kBalanced,      ///< the paper-default middle ground
     kCryptoXor,     ///< XOR-dense crypto instances: patient, deep search
     kAgileRestart,  ///< propagation-heavy instances: rapid restarts
     kHeavyTail,     ///< learnt-clause floods: aggressive DB management
 };
 
-/// One named configuration: every knob a profile may override. kFixed is
-/// represented by *not* applying a profile, so every field here is
-/// concrete.
+/// One named configuration: every knob a profile sets. This table is the
+/// only place these values live.
 struct SolverProfile {
-    const char* name;      ///< stable CLI-facing identifier
+    const char* name;      ///< stable identifier (profile_name())
     double var_decay;      ///< EVSIDS decay factor
     double clause_decay;   ///< learnt clause activity decay
     int restart_base;      ///< Luby restart unit (conflicts)
@@ -46,8 +42,8 @@ struct SolverProfile {
 };
 
 /// The table entry for a *named* profile (kBalanced..kHeavyTail).
-/// kAuto/kFixed have no table entry; passing them is a programming error
-/// (asserts in debug, returns kBalanced's entry in release).
+/// kAuto has no table entry; passing it is a programming error (asserts
+/// in debug, returns kBalanced's entry in release).
 const SolverProfile& profile(ProfileId id);
 
 /// The hand-rolled decision rule (the reconf.py stand-in): map cheap
@@ -55,11 +51,7 @@ const SolverProfile& profile(ProfileId id);
 /// documented in docs/architecture.md ("In-processing").
 ProfileId select_profile(const InstanceFeatures& f);
 
-/// Stable name for any ProfileId ("auto", "fixed", "balanced", ...).
+/// Stable name for any ProfileId ("auto", "balanced", ...).
 const char* profile_name(ProfileId id);
-
-/// Parse a profile name as accepted by --sat-profile. Returns false on an
-/// unknown name (id is left untouched).
-bool profile_from_name(const std::string& name, ProfileId& id);
 
 }  // namespace bosphorus::sat::inprocess

@@ -12,8 +12,8 @@ namespace bosphorus::sat::inprocess {
 
 void Vivifier::drop_clause(Solver& s, int32_t cref) {
     Solver::Clause& c = s.clauses_[cref];
-    if (c.learnt && c.tier != kUntracked && s.db_mgr_)
-        s.db_mgr_->on_removed(static_cast<Tier>(c.tier));
+    if (c.learnt && c.tier != kUntracked)
+        s.db_mgr_.on_removed(static_cast<Tier>(c.tier));
     s.remove_clause(cref);
 }
 
@@ -189,8 +189,8 @@ bool Vivifier::vivify_one(Solver& s, int32_t cref, uint64_t prop_budget_end,
         std::min(c.lbd, static_cast<uint32_t>(c.lits.size()));
     if (new_lbd != c.lbd) {
         c.lbd = new_lbd;
-        if (c.learnt && c.tier != kUntracked && s.db_mgr_)
-            c.tier = s.db_mgr_->on_vivified(static_cast<Tier>(c.tier), new_lbd);
+        if (c.learnt && c.tier != kUntracked)
+            c.tier = s.db_mgr_.on_vivified(static_cast<Tier>(c.tier), new_lbd);
     }
     s.attach_clause(cref);
     return !budget_out;

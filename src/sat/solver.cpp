@@ -10,17 +10,6 @@
 namespace bosphorus::sat {
 
 Solver::Solver(Config cfg) : cfg_(cfg) {
-    // Effective knobs start at the Config values; a profile application
-    // (in-processing only) overrides them per solve call.
-    eff_var_decay_ = cfg_.var_decay;
-    eff_clause_decay_ = cfg_.clause_decay;
-    eff_restart_base_ = cfg_.restart_base;
-    eff_vivify_budget_ = cfg_.inprocess.vivify_propagation_budget;
-    eff_vivify_interval_ = cfg_.inprocess.vivify_restart_interval;
-    if (cfg_.inprocess.enabled) {
-        db_mgr_ = std::make_unique<inprocess::ClauseDbManager>(cfg_.inprocess);
-        vivifier_ = std::make_unique<inprocess::Vivifier>();
-    }
     if (cfg_.enable_xor) xor_engine_ = std::make_unique<XorEngine>(*this);
 }
 
@@ -267,7 +256,7 @@ void Solver::analyze(CRef confl, std::vector<Lit>& out_learnt,
                 const uint32_t nl = clause_lbd(c);
                 if (nl < c.lbd) {
                     c.lbd = nl;
-                    c.tier = static_cast<uint8_t>(db_mgr_->on_lbd_improved(
+                    c.tier = static_cast<uint8_t>(db_mgr_.on_lbd_improved(
                         static_cast<inprocess::Tier>(c.tier), nl));
                 }
             }
@@ -393,7 +382,7 @@ void Solver::var_bump(Var v) {
     if (heap_pos_[v] >= 0) heap_up(static_cast<size_t>(heap_pos_[v]));
 }
 
-void Solver::var_decay_all() { var_inc_ /= eff_var_decay_; }
+void Solver::var_decay_all() { var_inc_ /= knobs_.var_decay; }
 
 void Solver::cla_bump(Clause& c) {
     c.activity += static_cast<float>(cla_inc_);
@@ -458,74 +447,23 @@ Lit Solver::pick_branch_lit() {
     return lit_undef();
 }
 
-// ------------------------------------------------------------- learnt DB
-
-void Solver::reduce_db() {
-    // Order learnts: glue (LBD <= 2) are protected; otherwise prefer to
-    // delete high-LBD, low-activity clauses.
-    std::sort(learnts_.begin(), learnts_.end(), [this](CRef a, CRef b) {
-        const Clause& ca = clauses_[a];
-        const Clause& cb = clauses_[b];
-        if ((ca.lbd <= 2) != (cb.lbd <= 2)) return cb.lbd <= 2;
-        if (ca.lbd != cb.lbd) return ca.lbd > cb.lbd;
-        return ca.activity < cb.activity;
-    });
-    const size_t limit = learnts_.size() / 2;
-    std::vector<CRef> kept;
-    kept.reserve(learnts_.size());
-    size_t removed = 0;
-    for (size_t i = 0; i < learnts_.size(); ++i) {
-        const CRef cr = learnts_[i];
-        Clause& c = clauses_[cr];
-        const bool locked = !c.lits.empty() &&
-                            var_reason_[c.lits[0].var()] == cr &&
-                            value(c.lits[0]) == LBool::kTrue;
-        if (removed < limit && c.lbd > 2 && c.lits.size() > 2 && !locked) {
-            remove_clause(cr);
-            ++removed;
-        } else {
-            kept.push_back(cr);
-        }
-    }
-    learnts_ = std::move(kept);
-}
-
 // --------------------------------------------------------- in-processing
 
 void Solver::apply_profile(inprocess::ProfileId id) {
-    using inprocess::ProfileId;
-    inprocess::SolverProfile p;
-    if (id == ProfileId::kFixed) {
-        // Honour the explicit Config knobs verbatim.
-        p = {"fixed",
-             cfg_.var_decay,
-             cfg_.clause_decay,
-             cfg_.restart_base,
-             cfg_.inprocess.core_lbd_cut,
-             cfg_.inprocess.mid_lbd_cut,
-             cfg_.inprocess.vivify_restart_interval,
-             cfg_.inprocess.vivify_propagation_budget,
-             cfg_.inprocess.local_cap_growth};
-    } else {
-        p = inprocess::profile(id);
-    }
-    eff_var_decay_ = p.var_decay;
-    eff_clause_decay_ = p.clause_decay;
-    eff_restart_base_ = p.restart_base;
-    eff_vivify_budget_ = p.vivify_propagation_budget;
-    eff_vivify_interval_ = p.vivify_restart_interval;
-    db_mgr_->apply_profile(p);
-    if (profile_applied_ && id != active_profile_) {
+    knobs_ = inprocess::profile(id);
+    db_mgr_.apply_profile(knobs_);
+    // The first application of a solver's life is not a reconfiguration.
+    if (active_profile_ != inprocess::ProfileId::kAuto &&
+        id != active_profile_) {
         ++stats_.reconf_decisions;
         inprocess::counters().reconf_decisions.fetch_add(
             1, std::memory_order_relaxed);
     }
-    profile_applied_ = true;
     active_profile_ = id;
 }
 
 void Solver::run_vivify_pass() {
-    const auto ps = vivifier_->run(*this, eff_vivify_budget_,
+    const auto ps = vivifier_.run(*this, knobs_.vivify_propagation_budget,
                                    cfg_.inprocess.vivify_max_clause_size,
                                    cfg_.inprocess.vivify_irredundant);
     stats_.vivified_literals += ps.literals_removed;
@@ -568,21 +506,17 @@ bool Solver::check_db_invariants() const {
     for (const CRef cr : learnts_) {
         const Clause& c = clauses_[cr];
         if (c.deleted || !c.learnt) return false;
-        if (db_mgr_) {
-            switch (c.tier) {
-                case inprocess::kCore: ++recount.core; break;
-                case inprocess::kMid: ++recount.mid; break;
-                case inprocess::kLocal: ++recount.local; break;
-                default: return false;  // kUntracked must not be listed
-            }
+        switch (c.tier) {
+            case inprocess::kCore: ++recount.core; break;
+            case inprocess::kMid: ++recount.mid; break;
+            case inprocess::kLocal: ++recount.local; break;
+            default: return false;  // kUntracked must not be listed
         }
     }
-    if (db_mgr_) {
-        const auto& tc = db_mgr_->tier_counts();
-        if (recount.core != tc.core || recount.mid != tc.mid ||
-            recount.local != tc.local)
-            return false;
-    }
+    const auto& tc = db_mgr_.tier_counts();
+    if (recount.core != tc.core || recount.mid != tc.mid ||
+        recount.local != tc.local)
+        return false;
     // 2. Every watcher points at a live clause and watches one of its
     //    first two literals; every listed clause is watched exactly twice.
     std::vector<uint8_t> watch_count(clauses_.size(), 0);
@@ -615,19 +549,13 @@ bool Solver::check_db_invariants() const {
     return true;
 }
 
-void Solver::debug_force_reduce() {
-    if (inprocessing_on()) {
-        db_mgr_->reduce(*this);
-    } else {
-        reduce_db();
-    }
-}
+void Solver::debug_force_reduce() { db_mgr_.reduce(*this); }
 
 inprocess::Vivifier::PassStats Solver::debug_force_vivify(
     uint64_t propagation_budget) {
-    if (!vivifier_ || !ok_) return {};
+    if (!ok_) return {};
     cancel_until(0);
-    const auto ps = vivifier_->run(*this, propagation_budget,
+    const auto ps = vivifier_.run(*this, propagation_budget,
                                    cfg_.inprocess.vivify_max_clause_size,
                                    cfg_.inprocess.vivify_irredundant);
     stats_.vivified_literals += ps.literals_removed;
@@ -694,40 +622,31 @@ Result Solver::solve_assuming(const std::vector<Lit>& assumptions,
         return Result::kUnsat;
     }
 
-    if (inprocessing_on()) {
-        ++solve_calls_;
-        // Per-call profile (re-)selection: static features plus the LBD
-        // window observed in the previous call.
-        feat_ = inprocess::InstanceFeatures::extract(*this);
-        feat_.avg_first_window_lbd = prev_window_lbd_;
-        inprocess::ProfileId want = cfg_.inprocess.profile;
-        if (want == inprocess::ProfileId::kAuto)
-            want = inprocess::select_profile(feat_);
-        apply_profile(want);
-        window_lbd_sum_ = 0;
-        window_lbd_count_ = 0;
-        window_reconf_done_ = false;
-        // Entry vivification on warm re-solves only: a cold one-shot call
-        // pays nothing up front, and short warm solves that learned
-        // little since the last pass skip it too (vivify_due).
-        if (cfg_.inprocess.vivify && solve_calls_ > 1 && vivify_due()) {
-            run_vivify_pass();
-            if (!ok_) {
-                while (units_reported_ < trail_.size())
-                    learnt_units_.push_back(trail_[units_reported_++]);
-                return Result::kUnsat;
-            }
+    ++solve_calls_;
+    // Per-call profile selection: static features plus the LBD window
+    // observed in the previous call.
+    feat_ = inprocess::InstanceFeatures::extract(*this);
+    feat_.avg_first_window_lbd = prev_window_lbd_;
+    apply_profile(inprocess::select_profile(feat_));
+    window_lbd_sum_ = 0;
+    window_lbd_count_ = 0;
+    window_reconf_done_ = false;
+    // Entry vivification on warm re-solves only: a cold one-shot call
+    // pays nothing up front, and short warm solves that learned little
+    // since the last pass skip it too (vivify_due).
+    if (cfg_.inprocess.vivify && solve_calls_ > 1 && vivify_due()) {
+        run_vivify_pass();
+        if (!ok_) {
+            while (units_reported_ < trail_.size())
+                learnt_units_.push_back(trail_[units_reported_++]);
+            return Result::kUnsat;
         }
-    } else {
-        // Legacy learnt-DB cap, reset on every call.
-        max_learnts_ = std::max<double>(
-            static_cast<double>(problem_clauses_.size()) / 3.0, 1000.0);
     }
 
     int64_t conflicts_this_call = 0;
     int curr_restarts = 0;
     int64_t restart_limit = static_cast<int64_t>(
-        luby(2.0, curr_restarts) * eff_restart_base_);
+        luby(2.0, curr_restarts) * knobs_.restart_base);
     int64_t conflicts_since_restart = 0;
 
     std::vector<Lit> learnt_clause;
@@ -765,21 +684,18 @@ Result Solver::solve_assuming(const std::vector<Lit>& assumptions,
             } else {
                 const CRef cr = alloc_clause(learnt_clause, /*learnt=*/true);
                 clauses_[cr].lbd = lbd;
-                if (inprocessing_on()) {
-                    clauses_[cr].tier =
-                        static_cast<uint8_t>(db_mgr_->classify(lbd));
-                    clauses_[cr].used = 1;
-                    db_mgr_->on_learnt(lbd);
-                }
+                clauses_[cr].tier = static_cast<uint8_t>(db_mgr_.classify(lbd));
+                clauses_[cr].used = 1;
+                db_mgr_.on_learnt(lbd);
                 learnts_.push_back(cr);
                 attach_clause(cr);
                 cla_bump(clauses_[cr]);
                 enqueue(learnt_clause[0], cr);
             }
             ++stats_.learnt_clauses;
-            if (inprocessing_on() && !window_reconf_done_) {
+            if (!window_reconf_done_) {
                 // Opening-window LBD observation; once full, give the
-                // kAuto rule one mid-call chance to switch profiles.
+                // selection rule one mid-call chance to switch profiles.
                 window_lbd_sum_ += lbd;
                 if (++window_lbd_count_ >=
                     cfg_.inprocess.window_lbd_conflicts) {
@@ -787,17 +703,14 @@ Result Solver::solve_assuming(const std::vector<Lit>& assumptions,
                     prev_window_lbd_ =
                         static_cast<double>(window_lbd_sum_) /
                         static_cast<double>(window_lbd_count_);
-                    if (cfg_.inprocess.profile ==
-                        inprocess::ProfileId::kAuto) {
-                        feat_.avg_first_window_lbd = prev_window_lbd_;
-                        const inprocess::ProfileId want =
-                            inprocess::select_profile(feat_);
-                        if (want != active_profile_) apply_profile(want);
-                    }
+                    feat_.avg_first_window_lbd = prev_window_lbd_;
+                    const inprocess::ProfileId want =
+                        inprocess::select_profile(feat_);
+                    if (want != active_profile_) apply_profile(want);
                 }
             }
             var_decay_all();
-            cla_inc_ /= eff_clause_decay_;
+            cla_inc_ /= knobs_.clause_decay;
 
             if (conflict_budget >= 0 && conflicts_this_call >= conflict_budget) {
                 result = Result::kUnknown;
@@ -818,11 +731,11 @@ Result Solver::solve_assuming(const std::vector<Lit>& assumptions,
                 ++curr_restarts;
                 conflicts_since_restart = 0;
                 restart_limit = static_cast<int64_t>(
-                    luby(2.0, curr_restarts) * eff_restart_base_);
+                    luby(2.0, curr_restarts) * knobs_.restart_base);
                 cancel_until(0);
-                if (inprocessing_on() && cfg_.inprocess.vivify &&
-                    eff_vivify_interval_ > 0 &&
-                    curr_restarts % static_cast<int>(eff_vivify_interval_) ==
+                if (cfg_.inprocess.vivify &&
+                    curr_restarts %
+                            static_cast<int>(knobs_.vivify_restart_interval) ==
                         0 &&
                     vivify_due()) {
                     run_vivify_pass();
@@ -833,13 +746,8 @@ Result Solver::solve_assuming(const std::vector<Lit>& assumptions,
                 }
                 continue;
             }
-            if (inprocessing_on()) {
-                if (db_mgr_->should_reduce(problem_clauses_.size()))
-                    db_mgr_->reduce(*this);
-            } else if (static_cast<double>(learnts_.size()) >= max_learnts_) {
-                reduce_db();
-                max_learnts_ *= cfg_.learnt_growth;
-            }
+            if (db_mgr_.should_reduce(problem_clauses_.size()))
+                db_mgr_.reduce(*this);
             // Re-enqueue any assumption not yet decided (restarts and
             // backjumps may have unwound them) before real branching.
             Lit next = lit_undef();

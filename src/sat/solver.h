@@ -4,7 +4,9 @@
 // the paper (MiniSat, Lingeling, CryptoMiniSat5). The core implements the
 // standard modern CDCL loop: two-watched-literal propagation, first-UIP
 // conflict analysis with recursive clause minimisation, EVSIDS branching,
-// phase saving, Luby restarts and activity/LBD-based learnt-clause deletion.
+// phase saving and Luby restarts. Learnt clauses are managed by the
+// in-processing engine (src/sat/inprocess/): a tiered learnt DB,
+// budgeted vivification and a feature-selected search profile.
 //
 // Two features matter specifically for Bosphorus:
 //  * a *conflict budget* (the paper bounds the in-loop solver by conflicts,
@@ -41,15 +43,10 @@ class XorEngine;
 class Solver {
 public:
     struct Config {
-        bool enable_xor = false;      ///< native XOR propagation + level-0 GJE
-        double var_decay = 0.95;      ///< EVSIDS decay factor
-        double clause_decay = 0.999;  ///< learnt clause activity decay
-        int restart_base = 100;       ///< Luby restart unit (conflicts)
-        double learnt_growth = 1.1;   ///< legacy learnt DB cap growth
-        int verbosity = 0;
+        bool enable_xor = false;  ///< native XOR propagation + level-0 GJE
         /// In-processing engine (vivification, tiered learnt DB, profile
-        /// auto-reconfiguration). inprocess.enabled = false reproduces the
-        /// legacy solver numerically.
+        /// auto-reconfiguration). The search knobs (decays, restart unit,
+        /// tier cuts) come from the profile selected per solve call.
         inprocess::InprocessConfig inprocess;
     };
 
@@ -161,24 +158,22 @@ public:
 
     // ---- in-processing observability / test hooks ----------------------
 
-    /// Live per-tier learnt clause counts (all zero when in-processing is
-    /// disabled: the legacy DB is untiered).
-    inprocess::ClauseDbManager::TierCounts db_tier_counts() const {
-        return db_mgr_ ? db_mgr_->tier_counts()
-                       : inprocess::ClauseDbManager::TierCounts{};
+    /// Live per-tier learnt clause counts.
+    const inprocess::ClauseDbManager::TierCounts& db_tier_counts() const {
+        return db_mgr_.tier_counts();
     }
 
-    /// The profile in effect after the last solve call resolved kAuto
-    /// (kFixed before any solve, or when in-processing is disabled).
+    /// The profile the last solve call selected (kAuto before any solve:
+    /// no profile applied yet).
     inprocess::ProfileId active_profile() const { return active_profile_; }
 
     /// Tier-policy diagnostics; both must stay 0 (the deletion policy
     /// never even *attempts* to delete glue or reason-locked clauses).
     uint64_t db_glue_delete_vetoes() const {
-        return db_mgr_ ? db_mgr_->glue_delete_vetoes() : 0;
+        return db_mgr_.glue_delete_vetoes();
     }
     uint64_t db_locked_delete_vetoes() const {
-        return db_mgr_ ? db_mgr_->locked_delete_vetoes() : 0;
+        return db_mgr_.locked_delete_vetoes();
     }
 
     /// Structural clause-database invariants, checkable at any consistent
@@ -189,12 +184,11 @@ public:
     /// first, and the tier counts match a full recount.
     bool check_db_invariants() const;
 
-    /// Force one reduction sweep now (tiered when in-processing is on,
-    /// legacy reduce_db otherwise). Test hook.
+    /// Force one tiered reduction sweep now. Test hook.
     void debug_force_reduce();
 
     /// Force one vivification pass with the given budget (no-op returning
-    /// empty stats when in-processing is disabled). Test hook.
+    /// empty stats once the formula is refuted). Test hook.
     inprocess::Vivifier::PassStats debug_force_vivify(
         uint64_t propagation_budget);
 
@@ -213,7 +207,7 @@ private:
         bool deleted = false;
         // In-processing bookkeeping. tier is kUntracked for clauses the
         // ClauseDbManager does not manage (problem clauses, XOR
-        // conflict/reason clauses, everything when in-processing is off).
+        // conflict/reason clauses).
         uint8_t tier = inprocess::kUntracked;
         uint8_t used = 0;  ///< participated in a conflict since last reduce
         uint8_t idle = 0;  ///< reductions spent unused in the mid tier
@@ -227,10 +221,8 @@ private:
     };
 
     // ---- in-processing --------------------------------------------------
-    /// True when the in-processing engine owns the learnt DB.
-    bool inprocessing_on() const { return db_mgr_ != nullptr; }
-    /// Install a named profile's (or kFixed: the Config's) knobs as the
-    /// effective search parameters and tier cuts.
+    /// Install a named profile's knobs as the effective search parameters
+    /// and tier cuts.
     void apply_profile(inprocess::ProfileId id);
     /// One budgeted vivification sweep, folding pass stats into stats_.
     void run_vivify_pass();
@@ -248,7 +240,6 @@ private:
     Lit pick_branch_lit();
     void record_learnt_fact(const std::vector<Lit>& clause);
     double luby(double y, int i) const;
-    void reduce_db();
 
     // ---- assignment ----------------------------------------------------
     void enqueue(Lit l, CRef reason);
@@ -312,20 +303,14 @@ private:
     // Dedup for learnt_binaries_ (normalised lit pair -> already recorded).
     std::unordered_set<uint64_t> binaries_seen_;
 
-    double max_learnts_ = 0;  // legacy (in-processing off) learnt DB cap
-
     // ---- in-processing state --------------------------------------------
-    std::unique_ptr<inprocess::ClauseDbManager> db_mgr_;  // null = disabled
-    std::unique_ptr<inprocess::Vivifier> vivifier_;
-    inprocess::ProfileId active_profile_ = inprocess::ProfileId::kFixed;
-    bool profile_applied_ = false;  // first application is not a "reconf"
-    // Effective search knobs: the active profile's values, or the Config
-    // values verbatim under kFixed / disabled in-processing.
-    double eff_var_decay_;
-    double eff_clause_decay_;
-    int eff_restart_base_;
-    uint64_t eff_vivify_budget_;
-    uint32_t eff_vivify_interval_;
+    inprocess::ClauseDbManager db_mgr_{cfg_.inprocess};
+    inprocess::Vivifier vivifier_;
+    inprocess::ProfileId active_profile_ = inprocess::ProfileId::kAuto;
+    // Effective search knobs: the active profile's values (balanced until
+    // the first solve call selects one).
+    inprocess::SolverProfile knobs_ =
+        inprocess::profile(inprocess::ProfileId::kBalanced);
     // Opening-window LBD observation of the current call, and the carry
     // from the previous call (feeds the next static profile selection).
     uint64_t window_lbd_sum_ = 0;

@@ -160,10 +160,11 @@ Status DimacsTokenizer::parse_literals(std::vector<sat::Lit>& lits) {
             advance();
             c = peek();
         }
-        if (c == -1 || !std::isdigit(c))
-            return err("expected a literal, got " +
-                       (c == -1 ? std::string("end of file")
-                                : "'" + std::string(1, char(c)) + "'"));
+        if (c == -1 || !std::isdigit(c)) {
+            std::string got = "end of file";
+            if (c != -1) got = {'\'', char(c), '\''};
+            return err("expected a literal, got " + got);
+        }
         uint64_t v = 0;
         while ((c = peek()) != -1 && std::isdigit(c)) {
             v = v * 10 + static_cast<uint64_t>(c - '0');

@@ -1,12 +1,16 @@
 // Tests for the native solver's in-processing engine
 // (src/sat/inprocess/): instance features, profile selection,
-// vivification soundness, tiered learnt-DB invariants and the
-// process-global observability counters.
+// vivification soundness, tiered learnt-DB invariants, the pinned
+// default search trajectory and the process-global observability
+// counters.
 #include "sat/inprocess/inprocess.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "cnfgen/generators.h"
@@ -25,12 +29,6 @@ using testutil::cnf_models;
 
 Lit pos(Var v) { return mk_lit(v, false); }
 Lit neg(Var v) { return mk_lit(v, true); }
-
-Solver::Config inproc_config(bool enabled) {
-    Solver::Config cfg;
-    cfg.inprocess.enabled = enabled;
-    return cfg;
-}
 
 /// Brute-force verdict of `cnf` under `assumptions` (models are bitmasks
 /// with bit v = value of variable v, as produced by testutil::cnf_models).
@@ -96,20 +94,15 @@ TEST(InstanceFeatures, SolverExtractMatchesFromCnf) {
 
 // ---- profiles -------------------------------------------------------------
 
-TEST(Profiles, NameRoundTrip) {
-    for (const ProfileId id :
-         {ProfileId::kAuto, ProfileId::kFixed, ProfileId::kBalanced,
-          ProfileId::kCryptoXor, ProfileId::kAgileRestart,
-          ProfileId::kHeavyTail}) {
-        ProfileId back;
-        ASSERT_TRUE(inprocess::profile_from_name(
-            inprocess::profile_name(id), back))
-            << inprocess::profile_name(id);
-        EXPECT_EQ(back, id);
+TEST(Profiles, NamesDistinctAndNonEmpty) {
+    const ProfileId ids[] = {ProfileId::kBalanced, ProfileId::kCryptoXor,
+                             ProfileId::kAgileRestart, ProfileId::kHeavyTail};
+    std::set<std::string> names;
+    for (const ProfileId id : ids) {
+        const std::string name = inprocess::profile_name(id);
+        EXPECT_FALSE(name.empty());
+        EXPECT_TRUE(names.insert(name).second) << "duplicate name " << name;
     }
-    ProfileId id;
-    EXPECT_FALSE(inprocess::profile_from_name("bogus", id));
-    EXPECT_FALSE(inprocess::profile_from_name("", id));
 }
 
 TEST(Profiles, SelectionRule) {
@@ -138,7 +131,7 @@ TEST(Profiles, SelectionRule) {
 TEST(Vivifier, ShrinksSubsumedTail) {
     // (x1 | x2) makes x3 redundant in (x1 | x2 | x3): assuming ~x1, ~x2
     // conflicts (or satisfies) before x3 is ever reached.
-    Solver s(inproc_config(true));
+    Solver s;
     const Var x1 = s.new_var(), x2 = s.new_var(), x3 = s.new_var();
     ASSERT_TRUE(s.add_clause({pos(x1), pos(x2)}));
     ASSERT_TRUE(s.add_clause({pos(x1), pos(x2), pos(x3)}));
@@ -155,7 +148,7 @@ TEST(Vivifier, DerivesUnitFromConflictingAssumptionWalk) {
     // conflicts right after assuming ~a and the clause collapses to the
     // unit a. (Unit propagation alone cannot see this: no literal of the
     // clause is falsified at level 0.)
-    Solver s(inproc_config(true));
+    Solver s;
     const Var a = s.new_var(), d = s.new_var();
     const Var b = s.new_var(), c = s.new_var();
     ASSERT_TRUE(s.add_clause({pos(a), pos(d)}));
@@ -176,7 +169,7 @@ TEST(Vivifier, DeletesSatisfiedClause) {
     // The unit must be added AFTER the long clause: add_clause()
     // canonicalises against the current level-0 trail, so the reverse
     // order would drop the clause before it ever reaches the DB.
-    Solver s(inproc_config(true));
+    Solver s;
     const Var u = s.new_var(), x = s.new_var(), y = s.new_var();
     ASSERT_TRUE(s.add_clause({pos(u), pos(x), pos(y)}));
     ASSERT_TRUE(s.add_clause({pos(u)}));
@@ -198,7 +191,7 @@ TEST(Vivifier, PreservesModelSetExactly) {
         Cnf cnf = cnfgen::random_ksat(n, 18, 3, rng);
         const auto models = cnf_models(cnf);
 
-        Solver s(inproc_config(true));
+        Solver s;
         ASSERT_TRUE(s.load(cnf));
         s.debug_force_vivify(100'000);
         ASSERT_TRUE(s.check_db_invariants());
@@ -245,21 +238,9 @@ void run_reduction_stress(Solver& s, const Cnf& cnf, Result expected) {
     EXPECT_EQ(r, expected);
 }
 
-TEST(ClauseDb, LegacyReduceKeepsInvariants) {
-    // The pre-in-processing reduce_db path (inprocess.enabled = false):
-    // pinned before and preserved by the tiered refactor. PHP(8, 7) is
-    // hard enough (~3k conflicts) to push past the legacy 1000-learnt
-    // floor; smaller pigeonholes finish before any reduction fires.
-    Cnf cnf = cnfgen::pigeonhole(7);  // UNSAT, conflict-heavy
-    Solver s(inproc_config(false));
-    run_reduction_stress(s, cnf, Result::kUnsat);
-    EXPECT_GT(s.stats().deleted_clauses, 0u);
-    EXPECT_EQ(s.stats().db_reductions, 0u);  // tiered path never engaged
-}
-
 TEST(ClauseDb, TieredReduceKeepsInvariantsAndProtections) {
     Cnf cnf = cnfgen::pigeonhole(7);
-    Solver::Config cfg = inproc_config(true);
+    Solver::Config cfg;
     cfg.inprocess.local_cap_min = 40;  // force frequent reductions
     cfg.inprocess.vivify = false;      // isolate the DB manager
     Solver s(cfg);
@@ -277,7 +258,7 @@ TEST(ClauseDb, ForcedSweepKeepsPropagationIntegrity) {
     for (int inst = 0; inst < 6; ++inst) {
         Rng rng(base_seed * 1000003 + inst * 797 + 13);
         Cnf cnf = cnfgen::random_ksat(7, 24, 3, rng);
-        Solver s(inproc_config(true));
+        Solver s;
         ASSERT_TRUE(s.load(cnf));
         const Result first = s.solve();
         ASSERT_TRUE(s.check_db_invariants());
@@ -291,7 +272,7 @@ TEST(ClauseDb, ForcedSweepKeepsPropagationIntegrity) {
 
 TEST(ClauseDb, TierStatePersistsAcrossSolveCalls) {
     Cnf cnf = cnfgen::pigeonhole(5);
-    Solver::Config cfg = inproc_config(true);
+    Solver::Config cfg;
     cfg.inprocess.local_cap_min = 40;
     Solver s(cfg);
     ASSERT_TRUE(s.load(cnf));
@@ -310,33 +291,29 @@ TEST(ClauseDb, TierStatePersistsAcrossSolveCalls) {
     EXPECT_GT(s.db_tier_counts().total(), 0u);
 }
 
-// ---- warm-vs-cold and on-vs-off differentials -----------------------------
+// ---- warm assumption sweeps and profile selection -------------------------
 
-TEST(Inprocess, OnVsOffVerdictsAgreeUnderAssumptionSweeps) {
+TEST(Inprocess, VerdictsMatchOracleUnderAssumptionSweeps) {
     const uint64_t base_seed = testutil::test_seed(23);
     for (int inst = 0; inst < 5; ++inst) {
         Rng rng(base_seed * 1000003 + inst * 797 + 13);
         Cnf cnf = cnfgen::random_ksat(8, 26, 3, rng);
 
-        Solver on(inproc_config(true));
-        Solver off(inproc_config(false));
-        ASSERT_TRUE(on.load(cnf));
-        ASSERT_TRUE(off.load(cnf));
+        Solver s;
+        ASSERT_TRUE(s.load(cnf));
 
-        // Warm sweep: both solvers answer a sequence of assumption sets;
-        // both are exact, so every verdict must match the oracle.
+        // Warm sweep: one solver answers a sequence of assumption sets
+        // (vivification and tier state carry over between calls); every
+        // verdict must match the brute-force oracle.
         for (int q = 0; q < 12; ++q) {
             std::vector<Lit> assume;
             for (Var v = 0; v < 3; ++v) {
                 assume.push_back(
                     mk_lit((v * 7 + q) % 8, ((q >> v) & 1) != 0));
             }
-            const Result want = oracle_verdict(cnf, assume);
-            EXPECT_EQ(on.solve_assuming(assume), want)
-                << "inprocess on, inst " << inst << " query " << q;
-            EXPECT_EQ(off.solve_assuming(assume), want)
-                << "inprocess off, inst " << inst << " query " << q;
-            if (!on.okay() || !off.okay()) break;
+            EXPECT_EQ(s.solve_assuming(assume), oracle_verdict(cnf, assume))
+                << "inst " << inst << " query " << q;
+            if (!s.okay()) break;
         }
     }
 }
@@ -350,35 +327,120 @@ TEST(Inprocess, AutoProfileResolvesPerSolve) {
     for (uint32_t i = 0; i < 12; ++i)
         cnf.xors.push_back({{i, (i + 1) % 12}, false});  // all-equal: SAT
     cnf.add_clause({pos(0), pos(5)});
-    Solver::Config cfg = inproc_config(true);
+    Solver::Config cfg;
     cfg.enable_xor = true;
     Solver s(cfg);
     ASSERT_TRUE(s.load(cnf));
-    EXPECT_EQ(s.active_profile(), ProfileId::kFixed);  // nothing applied yet
+    EXPECT_EQ(s.active_profile(), ProfileId::kAuto);  // nothing applied yet
     ASSERT_EQ(s.solve(), Result::kSat);
     EXPECT_EQ(s.active_profile(), ProfileId::kCryptoXor);
 
     // A plain 3-SAT instance resolves to a non-crypto profile.
     Rng rng2(testutil::test_seed(31) + 1);
     Cnf plain = cnfgen::random_ksat(8, 26, 3, rng2);
-    Solver s2(inproc_config(true));
+    Solver s2;
     ASSERT_TRUE(s2.load(plain));
     s2.solve();
     EXPECT_NE(s2.active_profile(), ProfileId::kCryptoXor);
-    EXPECT_NE(s2.active_profile(), ProfileId::kFixed);
+    EXPECT_NE(s2.active_profile(), ProfileId::kAuto);
 }
 
-TEST(Inprocess, FixedProfileHonoursExplicitKnobs) {
-    Solver::Config cfg = inproc_config(true);
-    cfg.inprocess.profile = ProfileId::kFixed;
-    cfg.restart_base = 37;
+// ---- golden trajectory ----------------------------------------------------
+
+/// What a default-config search leaves behind: its counters and the
+/// profile the auto rule settled on. Propagation order, branching,
+/// restarts, learnt-DB management, vivification scheduling and profile
+/// selection each move at least one of them.
+struct Trajectory {
+    uint64_t conflicts, decisions, propagations, restarts, deleted_clauses,
+        db_reductions, vivify_passes, reconf_decisions;
+    ProfileId profile;
+    bool operator==(const Trajectory&) const = default;
+};
+
+void PrintTo(const Trajectory& t, std::ostream* os) {
+    *os << "{" << t.conflicts << ", " << t.decisions << ", "
+        << t.propagations << ", " << t.restarts << ", " << t.deleted_clauses
+        << ", " << t.db_reductions << ", " << t.vivify_passes << ", "
+        << t.reconf_decisions << ", " << inprocess::profile_name(t.profile)
+        << "}";
+}
+
+Trajectory trajectory_of(const Solver& s) {
+    const Solver::Stats& st = s.stats();
+    return {st.conflicts,      st.decisions,       st.propagations,
+            st.restarts,       st.deleted_clauses, st.db_reductions,
+            st.vivify_passes,  st.reconf_decisions, s.active_profile()};
+}
+
+Trajectory solve_cold(const Cnf& cnf, bool native_xor = false) {
+    Solver::Config cfg;
+    cfg.enable_xor = native_xor;
     Solver s(cfg);
-    Rng rng(testutil::test_seed(37));
-    Cnf cnf = cnfgen::random_ksat(7, 22, 3, rng);
-    ASSERT_TRUE(s.load(cnf));
-    const Result r = s.solve();
-    EXPECT_EQ(s.active_profile(), ProfileId::kFixed);
-    EXPECT_EQ(r, oracle_verdict(cnf, {}));
+    EXPECT_TRUE(s.load(cnf));
+    s.solve();
+    return trajectory_of(s);
+}
+
+TEST(Inprocess, GoldenTrajectory) {
+    // Fixed seeds (not test_seed()): the pinned numbers must not depend
+    // on the environment. A change that moves any of them changes the
+    // default search; a pure refactor of the solver must leave them all.
+    using P = ProfileId;
+
+    EXPECT_EQ(solve_cold(cnfgen::pigeonhole(7)),
+              (Trajectory{3238, 3887, 102449, 15, 0, 2, 2, 0, P::kBalanced}))
+        << "pigeonhole(7)";
+
+    Rng r1(4261);
+    EXPECT_EQ(solve_cold(cnfgen::random_ksat(200, 852, 3, r1)),
+              (Trajectory{15007, 17900, 1806281, 61, 5029, 7, 10, 0,
+                          P::kBalanced}))
+        << "3-SAT n=200 ratio 4.26";
+
+    Rng r2(8001);
+    EXPECT_EQ(solve_cold(cnfgen::random_ksat(200, 1600, 3, r2)),
+              (Trajectory{487, 600, 21517, 9, 94, 0, 1, 0, P::kAgileRestart}))
+        << "3-SAT n=200 ratio 8";
+
+    Rng r3(2101);
+    EXPECT_EQ(solve_cold(cnfgen::random_ksat(40, 840, 5, r3)),
+              (Trajectory{11694, 13592, 798140, 125, 3983, 8, 15, 0,
+                          P::kAgileRestart}))
+        << "5-SAT n=40 ratio 21";
+
+    // Native XOR cycle x_i + x_{i+1} + t_i = c_i, tied together by random
+    // 3-clauses so the search has to branch.
+    {
+        const uint32_t len = 40;
+        Rng rng(4040);
+        Cnf cnf = cnfgen::random_ksat(2 * len, 6 * len, 3, rng);
+        for (uint32_t i = 0; i < len; ++i)
+            cnf.xors.push_back(
+                {{i, (i + 1) % len, len + i}, (rng.next() & 1) != 0});
+        EXPECT_EQ(solve_cold(cnf, /*native_xor=*/true),
+                  (Trajectory{114, 127, 3170, 0, 0, 0, 0, 0, P::kCryptoXor}))
+            << "native XOR cycle";
+    }
+
+    // Warm sweep: 12 assumption queries on one solver, so entry
+    // vivification and the persistent tier state come into play.
+    {
+        const uint32_t n = 120;
+        Rng rng(1212);
+        Solver s;
+        ASSERT_TRUE(s.load(cnfgen::random_ksat(n, 511, 3, rng)));
+        for (uint32_t q = 0; q < 12; ++q) {
+            std::vector<Lit> assume;
+            for (uint32_t v = 0; v < 4; ++v)
+                assume.push_back(
+                    mk_lit((v * 29 + q * 7) % n, ((q >> v) & 1) != 0));
+            s.solve_assuming(assume);
+        }
+        EXPECT_EQ(trajectory_of(s),
+                  (Trajectory{1263, 1607, 74095, 8, 0, 0, 3, 0, P::kBalanced}))
+            << "12-query warm sweep";
+    }
 }
 
 // ---- global counters ------------------------------------------------------
@@ -393,7 +455,7 @@ TEST(InprocessCounters, AdvanceAndUnregisterOnDestruction) {
         g.tier_local.load(std::memory_order_relaxed);
     {
         Cnf cnf = cnfgen::pigeonhole(7);
-        Solver::Config cfg = inproc_config(true);
+        Solver::Config cfg;
         cfg.inprocess.local_cap_min = 40;  // reductions publish the gauges
         Solver s(cfg);
         ASSERT_TRUE(s.load(cnf));
