@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace bosphorus::anf {
 
@@ -29,11 +30,20 @@ size_t mul_cache_slot(uint64_t serial, MonoId a, MonoId b) {
 
 std::atomic<uint64_t> next_store_serial{1};
 
+// Home slot of a 64-bit key (a content hash, or a product's id pair) in a
+// power-of-two table: the high half of a Fibonacci multiply, so every bit
+// of the key reaches the slot.
+size_t home_slot(uint64_t h, size_t mask) {
+    return static_cast<size_t>((h * 0x9E3779B97F4A7C15ULL) >> 32) & mask;
+}
+
 }  // namespace
 
 MonomialStore::MonomialStore()
     : serial_(next_store_serial.fetch_add(1, std::memory_order_relaxed)) {
     blocks_.resize(kMaxBlocks, nullptr);
+    index_.assign(kIndexInitialSlots, 0);
+    mul_memo_ = std::make_unique<MemoSlot[]>(kMulMemoSlots);
     std::lock_guard<std::mutex> lk(mu_);
     const MonoId one = intern_sorted_locked(nullptr, 0);
     (void)one;
@@ -56,15 +66,49 @@ uint64_t MonomialStore::hash_vars(const Var* vars, uint32_t n) {
     return h;
 }
 
+size_t MonomialStore::index_find(uint64_t h, const Var* vars,
+                                uint32_t n) const {
+    const size_t mask = index_.size() - 1;
+    for (size_t i = home_slot(h, mask);; i = (i + 1) & mask) {
+        const uint32_t slot = index_[i];
+        if (slot == 0) return i;
+        const Entry& e = entry(slot - 1);
+        if (e.hash == h && e.len == n && std::equal(vars, vars + n, e.vars))
+            return i;
+    }
+}
+
+void MonomialStore::grow_index() {
+    std::vector<uint32_t> grown(index_.size() * 2, 0);
+    const size_t mask = grown.size() - 1;
+    const uint32_t n = count_.load(std::memory_order_relaxed);
+    for (uint32_t id = 0; id < n; ++id) {
+        size_t i = home_slot(entry(id).hash, mask);
+        while (grown[i] != 0) i = (i + 1) & mask;
+        grown[i] = id + 1;
+    }
+    index_.swap(grown);
+}
+
 MonoId MonomialStore::intern_sorted_locked(const Var* vars, uint32_t n) {
     const uint64_t h = hash_vars(vars, n);
-    auto [it, end] = index_.equal_range(h);
-    for (; it != end; ++it) {
-        const Entry& e = entry(it->second);
-        if (e.len == n && std::equal(vars, vars + n, e.vars)) return it->second;
-    }
+    size_t slot = index_find(h, vars, n);
+    if (index_[slot] != 0) return index_[slot] - 1;
 
-    // Fresh monomial: copy the variable list into the arena...
+    // Fresh monomial. A throw from here on (id space exhausted, or
+    // bad_alloc) leaves the store consistent: nothing is reachable until
+    // the index slot and count_ are written at the end.
+    const uint32_t id = count_.load(std::memory_order_relaxed);
+    const uint32_t block = id >> kBlockBits;
+    if (block >= kMaxBlocks)
+        throw std::length_error("monomial store id space exhausted");
+    if (2 * (size_t{id} + 1) > index_.size()) {
+        grow_index();
+        slot = index_find(h, vars, n);
+    }
+    if (blocks_[block] == nullptr) blocks_[block] = new Entry[kBlockSize];
+
+    // Copy the variable list into the arena...
     const Var* stored = nullptr;
     if (n > 0) {
         if (n > kArenaChunk - arena_used_) {
@@ -80,15 +124,11 @@ MonoId MonomialStore::intern_sorted_locked(const Var* vars, uint32_t n) {
     }
 
     // ...write the entry slot, then publish the id.
-    const uint32_t id = count_.load(std::memory_order_relaxed);
-    const uint32_t block = id >> kBlockBits;
-    assert(block < kMaxBlocks && "monomial store id space exhausted");
-    if (blocks_[block] == nullptr) blocks_[block] = new Entry[kBlockSize];
     Entry& e = blocks_[block][id & (kBlockSize - 1)];
     e.vars = stored;
     e.len = n;
     e.hash = h;
-    index_.emplace(h, id);
+    index_[slot] = id + 1;
     count_.store(id + 1, std::memory_order_release);
     return id;
 }
@@ -140,13 +180,13 @@ MonoId MonomialStore::mul(MonoId a, MonoId b) {
     }
 
     const uint64_t key = (uint64_t{a} << 32) | b;
+    MemoSlot& memo = mul_memo_[home_slot(key, kMulMemoSlots - 1)];
     MonoId r;
     {
         std::lock_guard<std::mutex> lk(mu_);
-        auto it = mul_memo_.find(key);
-        if (it != mul_memo_.end()) {
+        if (memo.a == a && memo.b == b) {
             memo_hits_.fetch_add(1, std::memory_order_relaxed);
-            r = it->second;
+            r = memo.r;
         } else {
             memo_misses_.fetch_add(1, std::memory_order_relaxed);
             const Entry& ea = entry(a);
@@ -157,8 +197,8 @@ MonoId MonomialStore::mul(MonoId a, MonoId b) {
                            eb.vars + eb.len, std::back_inserter(scratch_));
             r = intern_sorted_locked(scratch_.data(),
                                      static_cast<uint32_t>(scratch_.size()));
-            if (mul_memo_.size() >= kMulMemoCap) mul_memo_.clear();
-            mul_memo_.emplace(key, r);
+            if (memo.a == 0) ++mul_memo_used_;
+            memo = {a, b, r};
         }
     }
     slot = {serial_, a, b, r};
@@ -198,7 +238,9 @@ MonomialStore::Stats MonomialStore::stats() const {
     s.arena_bytes = arena_bytes_;
     const uint32_t blocks = (s.entries + kBlockSize - 1) >> kBlockBits;
     s.entry_bytes = size_t{blocks} * kBlockSize * sizeof(Entry);
-    s.mul_memo_entries = mul_memo_.size();
+    s.index_bytes = index_.size() * sizeof(uint32_t);
+    s.mul_memo_bytes = kMulMemoSlots * sizeof(MemoSlot);
+    s.mul_memo_entries = mul_memo_used_;
     s.mul_memo_hits = memo_hits_.load(std::memory_order_relaxed);
     s.mul_memo_misses = memo_misses_.load(std::memory_order_relaxed);
     return s;

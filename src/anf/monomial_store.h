@@ -10,6 +10,13 @@
 // sorted vectors of 4-byte ids, so the XL/ElimLin/Groebner hot loops stop
 // allocating and re-hashing variable vectors per term.
 //
+// Memory layout (about 45 bytes per interned monomial): the sorted
+// variable list in a chunked arena (4 bytes per variable), a 24-byte Entry
+// {vars, len, hash}, and a slot in an open-addressing id index (4-byte
+// slots, load at most 1/2). Products are memoised in a fixed
+// direct-mapped table of kMulMemoSlots slots allocated with the store, so
+// the memo never grows with the vocabulary.
+//
 // Id invariants:
 //  - kMonoOne (0) is always the constant monomial 1.
 //  - Ids are assigned in interning order and NEVER reused or invalidated:
@@ -38,7 +45,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 namespace bosphorus::anf {
@@ -174,13 +180,18 @@ public:
     /// its whole lifetime (see the id invariants above), so every counter
     /// here is monotone non-decreasing; a long-lived process serving many
     /// tenants shares one growing vocabulary and reclaims nothing --
-    /// `entries`/`arena_bytes` measure that growth, `mul_memo_entries` is
-    /// the only component with a hard cap (kMulMemoCap, reset-on-full).
+    /// `entries`, `arena_bytes`, `entry_bytes` and `index_bytes` measure
+    /// that growth. The product memo is the only fixed-size component:
+    /// `mul_memo_bytes` is constant and `mul_memo_entries` (occupied
+    /// slots) stops at kMulMemoSlots; a colliding product overwrites its
+    /// slot.
     struct Stats {
         size_t entries = 0;           ///< distinct monomials interned
         size_t arena_bytes = 0;       ///< variable-list arena, allocated
         size_t entry_bytes = 0;       ///< entry blocks, allocated
-        size_t mul_memo_entries = 0;  ///< live products in the bounded memo
+        size_t index_bytes = 0;       ///< open-addressing id index
+        size_t mul_memo_bytes = 0;    ///< fixed product memo table
+        size_t mul_memo_entries = 0;  ///< occupied product memo slots
         size_t mul_memo_hits = 0;     ///< memo + front-cache hits
         size_t mul_memo_misses = 0;   ///< products computed the slow way
     };
@@ -188,10 +199,8 @@ public:
     /// thread (it serialises briefly with writers on the store mutex).
     Stats stats() const;
 
-    /// The memo-table bound: past this many cached products the table is
-    /// reset (bounded memory, monotone ids keep every entry valid forever
-    /// otherwise).
-    static constexpr size_t kMulMemoCap = 1u << 20;
+    /// Slots in the direct-mapped product memo (12 bytes each).
+    static constexpr size_t kMulMemoSlots = size_t{1} << 16;
 
 private:
     struct Entry {
@@ -217,6 +226,14 @@ private:
     /// Shared implementation; requires mu_ held.
     MonoId intern_sorted_locked(const Var* vars, uint32_t n);
 
+    /// The index slot holding the id of (vars, n), or the empty slot where
+    /// it belongs; requires mu_ held.
+    size_t index_find(uint64_t h, const Var* vars, uint32_t n) const;
+
+    /// Doubles the index, re-inserting every id by its cached hash;
+    /// requires mu_ held.
+    void grow_index();
+
     mutable std::mutex mu_;
 
     // Process-unique serial (never reused, unlike addresses): keys the
@@ -233,12 +250,20 @@ private:
     std::vector<Entry*> blocks_;          // size kMaxBlocks, lazily filled
     std::atomic<uint32_t> count_{0};      // published entry count
 
-    // content hash -> ids with that hash (collision chain), under mu_.
-    std::unordered_multimap<uint64_t, MonoId> index_;
+    // Content -> id, under mu_: open addressing with linear probing from
+    // the cached content hash. A slot holds id + 1 (0 = empty); the
+    // power-of-two capacity doubles at load 1/2.
+    static constexpr size_t kIndexInitialSlots = 1u << 10;
+    std::vector<uint32_t> index_;
 
-    // (lo(a) << 32 | hi(b)) -> product id, under mu_. Bounded: reset at
-    // kMulMemoCap.
-    std::unordered_map<uint64_t, MonoId> mul_memo_;
+    // Product memo, under mu_: direct-mapped on the canonical (a < b) id
+    // pair; a colliding product overwrites the slot. a == 0 marks an
+    // empty slot (mul() never memoises a product with the unit).
+    struct MemoSlot {
+        MonoId a = 0, b = 0, r = 0;
+    };
+    std::unique_ptr<MemoSlot[]> mul_memo_;
+    size_t mul_memo_used_ = 0;  // occupied slots; never decreases
     std::atomic<size_t> memo_hits_{0};
     std::atomic<size_t> memo_misses_{0};
 

@@ -19,9 +19,11 @@
 // old map hashed whole variable vectors per term), and the column sort
 // runs on the store's precomputed deg-lex ranks when the column set is a
 // large fraction of the interned vocabulary. All structures are sized by
-// the system's own term count, never by the global store -- a long-lived
-// Session can intern millions of monomials without inflating later
-// linearisations.
+// the system's own term count, with one exception: when cols * 16 >=
+// store.size() the column sort reads MonomialStore::ranks(), whose rebuild
+// allocates two vectors as long as the whole store. Below that ratio a
+// long-lived Session that has interned millions of monomials does not
+// inflate later linearisations.
 #pragma once
 
 #include <cstddef>

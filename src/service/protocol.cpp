@@ -149,6 +149,8 @@ std::string metrics_block(const ServiceStats& s) {
     put("store_entries", s.store.entries);
     put("store_arena_bytes", s.store.arena_bytes);
     put("store_entry_bytes", s.store.entry_bytes);
+    put("store_index_bytes", s.store.index_bytes);
+    put("store_mul_memo_bytes", s.store.mul_memo_bytes);
     put("store_mul_memo_entries", s.store.mul_memo_entries);
     put("store_mul_memo_hits", s.store.mul_memo_hits);
     put("store_mul_memo_misses", s.store.mul_memo_misses);

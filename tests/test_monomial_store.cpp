@@ -1,11 +1,16 @@
 // MonomialStore unit tests: intern idempotence, mul memoisation, deg-lex
-// rank monotonicity, and independence of the semantics from interning
-// order (id values may differ between stores; compare/rank/hash must not).
+// rank monotonicity, independence of the semantics from interning order
+// (id values may differ between stores; compare/rank/hash must not), index
+// growth against a reference map, the fixed-size product memo, the
+// per-monomial footprint and concurrent interning.
 #include "anf/monomial_store.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
+#include <thread>
 #include <vector>
 
 #include "anf/monomial.h"
@@ -178,6 +183,142 @@ TEST(MonomialStore, GlobalStoreIsAppendOnly) {
     EXPECT_GE(store.size(), before + 1);
     EXPECT_EQ(Monomial(std::vector<Var>{900002, 900001}), m)
         << "hash-consing: same content, same id";
+}
+
+// 200k interns of degree-2..6 monomials over 1000 variables: nearly all
+// distinct, so the id index doubles many times on the way.
+constexpr int kManyInterns = 200000;
+std::vector<Var> many_vars(Rng& rng) {
+    std::vector<Var> vs;
+    const size_t d = 2 + rng.below(5);
+    while (vs.size() < d) {
+        const Var v = static_cast<Var>(rng.below(1000));
+        if (std::find(vs.begin(), vs.end(), v) == vs.end()) vs.push_back(v);
+    }
+    return canonical(vs);
+}
+
+TEST(MonomialStore, IndexGrowthMatchesReferenceMap) {
+    MonomialStore store;
+    std::map<std::vector<Var>, MonoId> ref{{{}, kMonoOne}};
+    Rng rng(2024);
+    size_t wrong_ids = 0;
+    for (int i = 0; i < kManyInterns; ++i) {
+        const std::vector<Var> vs = many_vars(rng);
+        const MonoId id =
+            store.intern_sorted(vs.data(), static_cast<uint32_t>(vs.size()));
+        const auto [it, fresh] = ref.emplace(vs, id);
+        if (!fresh && it->second != id) ++wrong_ids;
+    }
+    EXPECT_EQ(wrong_ids, 0u) << "re-interning must return the first id";
+    EXPECT_EQ(store.size(), ref.size());
+    EXPECT_GT(ref.size(), size_t{kManyInterns} * 19 / 20);
+
+    size_t mismatches = 0;
+    for (const auto& [vs, id] : ref) {
+        if (store.intern(vs) != id || !(store.vars(id) == vs) ||
+            store.degree(id) != vs.size())
+            ++mismatches;
+    }
+    EXPECT_EQ(mismatches, 0u);
+    EXPECT_EQ(store.size(), ref.size()) << "lookups must not intern";
+}
+
+TEST(MonomialStore, MulMemoIsBoundedAndExact) {
+    // More distinct products than the memo has slots: the memo stays at
+    // its fixed size and every product, memoised or recomputed after an
+    // overwrite, is the union of the factors.
+    MonomialStore store;
+    std::vector<MonoId> vars;
+    for (Var v = 0; v < 400; ++v) vars.push_back(store.intern_var(v));
+    const size_t products = vars.size() * (vars.size() - 1) / 2;
+    size_t wrong = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (size_t i = 0; i < vars.size(); ++i) {
+            for (size_t j = i + 1; j < vars.size(); ++j) {
+                const MonoId p = store.mul(vars[j], vars[i]);
+                const VarSpan a = store.vars(vars[i]), b = store.vars(vars[j]);
+                std::vector<Var> expect;
+                std::set_union(a.begin(), a.end(), b.begin(), b.end(),
+                               std::back_inserter(expect));
+                if (!(store.vars(p) == expect)) ++wrong;
+            }
+        }
+    }
+    EXPECT_EQ(wrong, 0u);
+    ASSERT_GT(products, MonomialStore::kMulMemoSlots);
+    const MonomialStore::Stats st = store.stats();
+    EXPECT_GT(st.mul_memo_entries, 0u);
+    EXPECT_LE(st.mul_memo_entries, MonomialStore::kMulMemoSlots);
+    EXPECT_EQ(st.mul_memo_bytes, MonomialStore::kMulMemoSlots * 12);
+    EXPECT_EQ(st.entries, 1 + vars.size() + products);
+}
+
+TEST(MonomialStore, FootprintPerMonomial) {
+    // Arena + entries + index + memo, per interned monomial. The layout
+    // with node-based hash maps for the index and the memo cost ~119 B.
+    MonomialStore store;
+    Rng rng(99);
+    for (int i = 0; i < kManyInterns; ++i) {
+        const std::vector<Var> vs = many_vars(rng);
+        store.intern_sorted(vs.data(), static_cast<uint32_t>(vs.size()));
+    }
+    const MonomialStore::Stats st = store.stats();
+    EXPECT_EQ(st.entries, store.size());
+    EXPECT_GE(st.index_bytes, 2 * st.entries * sizeof(uint32_t))
+        << "index load must stay at most 1/2";
+    const double per_entry =
+        double(st.arena_bytes + st.entry_bytes + st.index_bytes +
+               st.mul_memo_bytes) /
+        double(st.entries);
+    EXPECT_LE(per_entry, 64.0);
+}
+
+TEST(MonomialStore, ConcurrentInterningAgreesOnIds) {
+    // Four threads intern overlapping vocabularies (and their products
+    // with single variables) in different orders into one store: every
+    // content gets exactly one id, whichever thread interned it first.
+    MonomialStore store;
+    Rng rng(5);
+    std::vector<std::vector<Var>> vocab;
+    for (int i = 0; i < 4000; ++i) vocab.push_back(many_vars(rng));
+
+    constexpr int kThreads = 4;
+    std::vector<std::vector<MonoId>> ids(kThreads,
+                                         std::vector<MonoId>(vocab.size()));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&store, &vocab, &ids, t] {
+            // Thread t covers three quarters of the vocabulary, starting
+            // at a different offset, in alternating directions.
+            const size_t n = vocab.size();
+            for (size_t k = 0; k < n * 3 / 4; ++k) {
+                const size_t off = (t * n / kThreads + k) % n;
+                const size_t i = t % 2 ? n - 1 - off : off;
+                const auto& vs = vocab[i];
+                ids[t][i] = store.intern_sorted(
+                    vs.data(), static_cast<uint32_t>(vs.size()));
+                store.mul(ids[t][i], store.intern_var(Var(k % 64)));
+            }
+            for (size_t i = 0; i < n; ++i) {
+                const auto& vs = vocab[i];
+                ids[t][i] = store.intern_sorted(
+                    vs.data(), static_cast<uint32_t>(vs.size()));
+            }
+        });
+    }
+    for (auto& th : threads) th.join();
+
+    for (int t = 1; t < kThreads; ++t) EXPECT_EQ(ids[t], ids[0]);
+    std::map<std::vector<Var>, MonoId> distinct;
+    size_t wrong = 0;
+    for (size_t i = 0; i < vocab.size(); ++i) {
+        distinct.emplace(vocab[i], ids[0][i]);
+        if (!(store.vars(ids[0][i]) == vocab[i]) ||
+            distinct.at(vocab[i]) != ids[0][i])
+            ++wrong;
+    }
+    EXPECT_EQ(wrong, 0u);
 }
 
 }  // namespace

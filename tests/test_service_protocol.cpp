@@ -214,6 +214,8 @@ TEST(Protocol, MetricsBlockIsCountPrefixed) {
     EXPECT_NE(block.find("jobs_completed 1\n"), std::string::npos);
     EXPECT_NE(block.find("backend.native.sat 1\n"), std::string::npos);
     EXPECT_NE(block.find("store_entries "), std::string::npos);
+    EXPECT_NE(block.find("store_index_bytes "), std::string::npos);
+    EXPECT_NE(block.find("store_mul_memo_bytes "), std::string::npos);
 }
 
 TEST(Protocol, QuitAndShutdownActions) {
