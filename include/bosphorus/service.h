@@ -244,8 +244,9 @@ struct ServiceStats {
     /// built-in solver).
     std::map<std::string, BackendVerdicts> backend_verdicts;
 
-    /// Live occupancy of the process-global MonomialStore (append-only:
-    /// these only grow -- see MonomialStore::stats()).
+    /// Live occupancy of the process-global MonomialStore. Service jobs
+    /// run in Sessions, which never release entries, so while only the
+    /// service uses the store these only grow (see MonomialStore::stats()).
     anf::MonomialStore::Stats store;
 
     double uptime_s = 0.0;  ///< seconds since the service was constructed

@@ -111,9 +111,10 @@ public:
     /// variable states, and satisfiability -- to exactly its state at the
     /// matching push(). Fails with kInvalidArgument when no scope is open.
     /// (The global hash-consed MonomialStore is deliberately NOT rewound:
-    /// it is append-only, so monomials interned inside the scope persist
-    /// as cached vocabulary without affecting any observable state -- see
-    /// the term-representation section of docs/architecture.md.)
+    /// Sessions never release store entries, so monomials interned inside
+    /// the scope persist as cached vocabulary without affecting any
+    /// observable state -- see the term-representation section of
+    /// docs/architecture.md.)
     Status pop();
 
     /// Number of open scopes (0 = base level).

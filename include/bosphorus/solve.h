@@ -9,6 +9,13 @@
 ///
 /// Thread safety: solve() builds all its state per call; concurrent
 /// solve() calls on distinct (or shared, const) Problems are safe.
+///
+/// Memory: the outcome holds no monomial, so a solve() that had the
+/// process-wide monomial store to itself -- no other thread interned
+/// while it ran -- gives back every monomial it interned on return, and
+/// later interning reuses those ids. Concurrent calls, Sessions and
+/// Engine::run keep what they intern. A registered back end must
+/// therefore not keep anf ids (Monomial, Polynomial) across the call.
 #pragma once
 
 #include "bosphorus/engine.h"

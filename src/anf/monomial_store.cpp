@@ -11,9 +11,11 @@ namespace {
 // Per-thread direct-mapped front cache for mul(): answers repeat products
 // without touching the store mutex. Keyed by the store's process-unique
 // serial (an address would be reusable by a later store, letting a stale
-// slot answer for ids the new store never interned); within one store's
-// lifetime invalidation is unnecessary because stores are append-only and
-// ids are never reused.
+// slot answer for ids the new store never interned). Within one store's
+// lifetime only a released Scope reuses ids, and only its owner thread can
+// hold slots naming them: any other thread that interned, or took a
+// product from the shared memo, while the scope was open tainted it. So
+// the release clears the owner's slots and no other thread's.
 struct MulCacheSlot {
     uint64_t serial = 0;  // 0 = empty (live serials start at 1)
     MonoId a = 0, b = 0, r = 0;
@@ -91,6 +93,7 @@ void MonomialStore::grow_index() {
 }
 
 MonoId MonomialStore::intern_sorted_locked(const Var* vars, uint32_t n) {
+    note_caller_locked();
     const uint64_t h = hash_vars(vars, n);
     size_t slot = index_find(h, vars, n);
     if (index_[slot] != 0) return index_[slot] - 1;
@@ -184,6 +187,7 @@ MonoId MonomialStore::mul(MonoId a, MonoId b) {
     MonoId r;
     {
         std::lock_guard<std::mutex> lk(mu_);
+        note_caller_locked();
         if (memo.a == a && memo.b == b) {
             memo_hits_.fetch_add(1, std::memory_order_relaxed);
             r = memo.r;
@@ -243,11 +247,13 @@ MonomialStore::Stats MonomialStore::stats() const {
     s.mul_memo_entries = mul_memo_used_;
     s.mul_memo_hits = memo_hits_.load(std::memory_order_relaxed);
     s.mul_memo_misses = memo_misses_.load(std::memory_order_relaxed);
+    s.released_ids = released_ids_;
     return s;
 }
 
 std::shared_ptr<const std::vector<uint32_t>> MonomialStore::ranks() {
     std::lock_guard<std::mutex> lk(mu_);
+    note_caller_locked();
     const uint32_t n = count_.load(std::memory_order_relaxed);
     if (ranks_cache_ && ranks_epoch_ == n) return ranks_cache_;
 
@@ -260,6 +266,82 @@ std::shared_ptr<const std::vector<uint32_t>> MonomialStore::ranks() {
     ranks_cache_ = std::move(ranks);
     ranks_epoch_ = n;
     return ranks_cache_;
+}
+
+MonomialStore::Scope::Scope(MonomialStore& store) {
+    if (store.open_scope()) store_ = &store;
+}
+
+MonomialStore::Scope::~Scope() {
+    if (store_ != nullptr) store_->close_scope();
+}
+
+bool MonomialStore::open_scope() {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (scope_open_) return false;
+    scope_open_ = true;
+    scope_tainted_ = false;
+    scope_owner_ = std::this_thread::get_id();
+    scope_mark_ = count_.load(std::memory_order_relaxed);
+    scope_arena_chunks_ = arena_.size();
+    scope_arena_used_ = arena_used_;
+    scope_arena_bytes_ = arena_bytes_;
+    return true;
+}
+
+void MonomialStore::close_scope() {
+    std::lock_guard<std::mutex> lk(mu_);
+    assert(scope_open_ && scope_owner_ == std::this_thread::get_id());
+    if (!scope_tainted_) release_locked();
+    scope_open_ = false;
+}
+
+void MonomialStore::release_locked() {
+    const uint32_t mark = scope_mark_;
+    const uint32_t n = count_.load(std::memory_order_relaxed);
+    if (n == mark) return;
+
+    // Index: linear probing without deletions is undone exactly by
+    // removing keys last-in-first-out, and grow_index() re-inserts in id
+    // order, so clearing the released ids newest first leaves the table
+    // as if they had never been inserted.
+    const size_t mask = index_.size() - 1;
+    for (uint32_t id = n; id-- > mark;) {
+        size_t i = home_slot(entry(id).hash, mask);
+        while (index_[i] != id + 1) i = (i + 1) & mask;
+        index_[i] = 0;
+    }
+
+    // Products naming a released id (a < b in every slot).
+    for (size_t i = 0; i < kMulMemoSlots; ++i) {
+        MemoSlot& m = mul_memo_[i];
+        if (m.a != 0 && (m.b >= mark || m.r >= mark)) {
+            m = MemoSlot{};
+            --mul_memo_used_;
+        }
+    }
+    for (MulCacheSlot& c : tl_mul_cache) {
+        if (c.serial == serial_ && (c.b >= mark || c.r >= mark)) c.serial = 0;
+    }
+
+    // The cache's epoch is an entry count, which later interning reaches
+    // again with different content.
+    ranks_cache_.reset();
+
+    // Storage wholly above the mark: arena chunks opened inside the scope
+    // and entry blocks holding no surviving id.
+    arena_.resize(scope_arena_chunks_);
+    arena_used_ = scope_arena_used_;
+    arena_bytes_ = scope_arena_bytes_;
+    const uint32_t last_block = (n - 1) >> kBlockBits;
+    for (uint32_t b = (mark + kBlockSize - 1) >> kBlockBits; b <= last_block;
+         ++b) {
+        delete[] blocks_[b];
+        blocks_[b] = nullptr;
+    }
+
+    released_ids_ += n - mark;
+    count_.store(mark, std::memory_order_release);
 }
 
 }  // namespace bosphorus::anf

@@ -19,11 +19,16 @@
 //
 // Id invariants:
 //  - kMonoOne (0) is always the constant monomial 1.
-//  - Ids are assigned in interning order and NEVER reused or invalidated:
-//    the store is append-only for its whole lifetime. Snapshot/rewind
-//    machinery (AnfSystem, Session push/pop) therefore never touches the
-//    store -- entries interned inside a popped scope simply remain as
-//    cached, unreferenced vocabulary.
+//  - Ids are assigned in interning order and stay valid, with the same
+//    content, for as long as anything can hold them. The store is
+//    append-only except for one scratch Scope: a caller that knows
+//    nothing interned inside the scope outlives it (bosphorus::solve(),
+//    whose SolveOutcome holds no monomial) opens one, and when it closes
+//    untouched by any other thread the store truncates back to the count
+//    at its start, so those ids are reused by later interning.
+//    Snapshot/rewind machinery (AnfSystem, Session push/pop) never opens
+//    a scope -- entries interned inside a popped Session scope simply
+//    remain as cached, unreferenced vocabulary.
 //  - Raw id VALUES are history-dependent (they depend on what was interned
 //    first) and must never influence observable output. All ordering goes
 //    through less()/compare()/ranks() (deg-lex on content) and all hashing
@@ -45,6 +50,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 namespace bosphorus::anf {
@@ -57,8 +63,8 @@ using MonoId = uint32_t;
 inline constexpr MonoId kMonoOne = 0;
 
 /// Non-owning view of a monomial's sorted variable list inside the store
-/// arena. Cheap to copy; valid as long as the store lives (forever, for
-/// the global store).
+/// arena. Cheap to copy; valid as long as its id is (see the id
+/// invariants above).
 class VarSpan {
 public:
     VarSpan() = default;
@@ -176,15 +182,15 @@ public:
 
     /// One consistent occupancy snapshot, taken under the store mutex --
     /// the accessor METRICS endpoints and bench tools read instead of
-    /// guessing from size() alone. Caveat: the store is APPEND-ONLY for
-    /// its whole lifetime (see the id invariants above), so every counter
-    /// here is monotone non-decreasing; a long-lived process serving many
-    /// tenants shares one growing vocabulary and reclaims nothing --
-    /// `entries`, `arena_bytes`, `entry_bytes` and `index_bytes` measure
-    /// that growth. The product memo is the only fixed-size component:
-    /// `mul_memo_bytes` is constant and `mul_memo_entries` (occupied
-    /// slots) stops at kMulMemoSlots; a colliding product overwrites its
-    /// slot.
+    /// guessing from size() alone. Outside a released Scope the store only
+    /// grows: a long-lived process whose work runs in Sessions or
+    /// Engine::run (bosphorusd, batches) shares one growing vocabulary and
+    /// reclaims nothing. A released Scope truncates the store, so
+    /// `entries`, `arena_bytes`, `entry_bytes` and `mul_memo_entries` can
+    /// fall; `index_bytes` keeps its high-water capacity, `mul_memo_bytes`
+    /// is constant, and `released_ids`, `mul_memo_hits` and
+    /// `mul_memo_misses` are monotone. `mul_memo_entries` (occupied slots)
+    /// stops at kMulMemoSlots; a colliding product overwrites its slot.
     struct Stats {
         size_t entries = 0;           ///< distinct monomials interned
         size_t arena_bytes = 0;       ///< variable-list arena, allocated
@@ -194,6 +200,7 @@ public:
         size_t mul_memo_entries = 0;  ///< occupied product memo slots
         size_t mul_memo_hits = 0;     ///< memo + front-cache hits
         size_t mul_memo_misses = 0;   ///< products computed the slow way
+        size_t released_ids = 0;      ///< ids given back by Scopes, total
     };
     /// Thread-safe: may be called concurrently with interning from any
     /// thread (it serialises briefly with writers on the store mutex).
@@ -201,6 +208,31 @@ public:
 
     /// Slots in the direct-mapped product memo (12 bytes each).
     static constexpr size_t kMulMemoSlots = size_t{1} << 16;
+
+    // ---- scratch scope ---------------------------------------------------
+
+    /// RAII scratch scope: on entry records the store's size (the mark)
+    /// and the calling thread (the owner); on destruction, if no other
+    /// thread interned, multiplied through the shared memo or took ranks()
+    /// while it was open, truncates the store back to the mark -- ids from
+    /// the mark up are reused by later interning. Only for callers whose
+    /// every id interned inside the scope dies with it. At most one scope
+    /// is open per store: a scope opened while another is open (nested, or
+    /// on another thread) is a no-op, and so is one that another thread
+    /// touched. Must be destroyed on the thread that created it.
+    class Scope {
+    public:
+        explicit Scope(MonomialStore& store);
+        ~Scope();
+        Scope(const Scope&) = delete;
+        Scope& operator=(const Scope&) = delete;
+
+        /// True iff this scope holds the mark (it was not nested).
+        bool active() const { return store_ != nullptr; }
+
+    private:
+        MonomialStore* store_ = nullptr;  // null: a no-op scope
+    };
 
 private:
     struct Entry {
@@ -234,6 +266,22 @@ private:
     /// requires mu_ held.
     void grow_index();
 
+    /// Marks an open scope tainted when the caller is not its owner;
+    /// requires mu_ held.
+    void note_caller_locked() {
+        if (scope_open_ && !scope_tainted_ &&
+            std::this_thread::get_id() != scope_owner_)
+            scope_tainted_ = true;
+    }
+
+    /// Scope entry/exit; open_scope() returns false when one is open.
+    bool open_scope();
+    void close_scope();
+
+    /// Truncates the store to scope_mark_; requires mu_ held and the
+    /// owner thread calling.
+    void release_locked();
+
     mutable std::mutex mu_;
 
     // Process-unique serial (never reused, unlike addresses): keys the
@@ -241,7 +289,8 @@ private:
     // can never satisfy a lookup for a newer one.
     const uint64_t serial_;
 
-    // Arena for variable lists: chunked, append-only, stable addresses.
+    // Arena for variable lists: chunked, stable addresses; a released
+    // Scope frees the chunks opened inside it.
     static constexpr size_t kArenaChunk = 1u << 16;  // Vars per chunk
     std::vector<std::unique_ptr<Var[]>> arena_;
     size_t arena_used_ = kArenaChunk;  // forces a chunk on first intern
@@ -272,6 +321,17 @@ private:
     uint32_t ranks_epoch_ = 0;  // count_ value the cache was built at
 
     std::vector<Var> scratch_;  // union/difference buffer, under mu_
+
+    // The scratch scope, under mu_: the mark is count_, the arena's chunk
+    // count, offset and bytes at scope entry.
+    bool scope_open_ = false;
+    bool scope_tainted_ = false;
+    std::thread::id scope_owner_;
+    uint32_t scope_mark_ = 0;
+    size_t scope_arena_chunks_ = 0;
+    size_t scope_arena_used_ = 0;
+    size_t scope_arena_bytes_ = 0;
+    size_t released_ids_ = 0;  // monotone
 };
 
 }  // namespace bosphorus::anf

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "anf/monomial_store.h"
 #include "core/anf_to_cnf.h"
 #include "core/cnf_to_anf.h"
 #include "util/timer.h"
@@ -152,6 +153,10 @@ Result<SolveOutcome> solve_cnf_problem(const sat::Cnf& cnf,
 }  // namespace
 
 Result<SolveOutcome> solve(const Problem& problem, const SolveConfig& cfg) {
+    // The outcome holds no monomial, so every id interned below dies with
+    // this call: unless another thread used the store meanwhile, give the
+    // vocabulary back on return.
+    const anf::MonomialStore::Scope scratch(anf::MonomialStore::global());
     if (problem.kind() == Problem::Kind::kCnf)
         return solve_cnf_problem(problem.cnf(), cfg, problem);
     return solve_anf(problem.polynomials(), problem.num_vars(), cfg, problem);

@@ -20,7 +20,8 @@
 //
 // Term storage: polynomials are vectors of interned MonoIds resolved
 // against the process-wide MonomialStore (anf/monomial_store.h). The store
-// is append-only and shared by every AnfSystem, so the snapshot/restore
+// is shared by every AnfSystem and never rewound by one (only a whole
+// solve() call gives its vocabulary back), so the snapshot/restore
 // trail below never records store state: restore() rewinds equations,
 // variable states and occurrence lists exactly, while monomials interned
 // inside the popped scope simply persist as cached vocabulary (ids stay

@@ -60,13 +60,13 @@ size_t Matrix::rref(std::vector<size_t>* pivot_cols) {
     return rank;
 }
 
-size_t Matrix::rref_m4r(unsigned k) {
+size_t Matrix::rref_m4r(unsigned k, const runtime::CancellationToken& cancel) {
     if (k < 1) k = 1;
     if (k > 16) k = 16;
     size_t rank = 0;
     size_t col = 0;
     std::vector<uint64_t> table;
-    while (col < cols_ && rank < rows_) {
+    while (col < cols_ && rank < rows_ && !cancel.cancelled()) {
         // --- find up to k pivots starting at (rank, col) -----------------
         // Pivot rows are swapped up to rows rank..rank+k'-1 and kept in
         // RREF among themselves; candidate bits below are evaluated

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "runtime/cancellation.h"
 #include "util/rng.h"
 
 namespace bosphorus::gf2 {
@@ -86,8 +87,12 @@ public:
     /// Method of Four Russians RREF (the M4RI algorithm): pivots are found
     /// k at a time, all 2^k combinations of the pivot rows are tabulated,
     /// and every other row is cleared with a single table lookup + row XOR.
-    /// Word-for-word the same result as plain rref().
-    size_t rref_m4r(unsigned k = 8);
+    /// Word-for-word the same result as plain rref(). `cancel` is polled
+    /// before each column block; a cancelled call returns the rank reached
+    /// so far and leaves the matrix partly reduced, for the caller to
+    /// discard.
+    size_t rref_m4r(unsigned k = 8,
+                    const runtime::CancellationToken& cancel = {});
 
     /// Row echelon form only (no back-substitution). Returns rank.
     size_t row_echelon();

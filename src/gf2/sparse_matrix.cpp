@@ -106,8 +106,9 @@ size_t SparseMatrix::rref(bool use_m4r,
         // Requesting pivot columns pins rref() to plain Gauss-Jordan.
         std::vector<size_t> dense_pivots;
         const size_t rank = use_m4r && dense.rows() >= 16 && dense.cols() >= 16
-                                ? dense.rref_m4r()
+                                ? dense.rref_m4r(8, cancel)
                                 : dense.rref(&dense_pivots);
+        if (cancelled()) return 0;
         for (size_t i = 0; i < rank; ++i) {
             Row row = dense.row_ones(i);
             for (uint32_t& c : row) c = used[c];
@@ -116,7 +117,6 @@ size_t SparseMatrix::rref(bool use_m4r,
             rows_.push_back(std::move(row));
         }
     }
-    if (cancelled()) return 0;
 
     // 4. Back-substitution, highest pivot column first: the pivot rows a
     // row is reduced with are fully reduced already, so adding one clears

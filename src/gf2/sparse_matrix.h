@@ -54,9 +54,9 @@ public:
     /// matrix holds exactly the rank nonzero rows, in ascending order of
     /// their leading column (zero rows are dropped). `use_m4r` picks the
     /// dense kernel of the Schur block: rref_m4r, or plain Gauss-Jordan;
-    /// both give the same result. `cancel` is polled between the phases
-    /// and every 256 rows inside them; a cancelled call clears the matrix
-    /// and returns 0.
+    /// both give the same result. `cancel` is polled between the phases,
+    /// every 256 rows inside them and before each column block of
+    /// rref_m4r; a cancelled call clears the matrix and returns 0.
     size_t rref(bool use_m4r = true,
                 const runtime::CancellationToken& cancel = {});
 

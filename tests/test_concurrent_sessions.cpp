@@ -1,7 +1,7 @@
 // Concurrent Session lifecycle against the process-global shared state:
-// many threads creating, solving and destroying Sessions at once, all
-// interning into the same MonomialStore and hitting the same
-// BackendRegistry. The interesting assertions here are (a) verdict
+// many threads creating, solving and destroying Sessions at once, or
+// calling solve() next to them, all interning into the same
+// MonomialStore and hitting the same BackendRegistry. The interesting assertions here are (a) verdict
 // correctness under contention and (b) the absence of data races -- this
 // file is a primary payload of the TSan CI job.
 #include <gtest/gtest.h>
@@ -14,6 +14,9 @@
 
 #include "anf/monomial_store.h"
 #include "bosphorus/bosphorus.h"
+#include "cnfgen/generators.h"
+#include "test_util.h"
+#include "util/rng.h"
 
 namespace bosphorus {
 namespace {
@@ -83,7 +86,7 @@ TEST(ConcurrentSessions, CreateSolveDestroyUnderContention) {
 TEST(ConcurrentSessions, StoreStatsRaceWithInterning) {
     // Satellite: MonomialStore::stats() is safe to call while other
     // threads intern (Session construction + solving), and the counters
-    // it reports only ever grow -- the store is append-only.
+    // it reports only ever grow -- Sessions never release store entries.
     const Problem base = paper_example();
     const EngineConfig cfg = small_config();
     std::atomic<bool> stop{false};
@@ -220,6 +223,65 @@ TEST(ConcurrentSessions, SessionsRaceWithServiceJobs) {
     direct.join();
     via_service.join();
     EXPECT_EQ(failures.load(), 0);
+}
+
+TEST(ConcurrentSessions, SolveCallsRaceWithASession) {
+    // solve() opens the store's scratch scope; with other threads
+    // interning, the scope is tainted and releases nothing, and a call
+    // that did have the store to itself gives its ids back while others
+    // read theirs. Every verdict must match brute force either way.
+    struct Case {
+        Problem problem;
+        sat::Result expect;
+    };
+    std::vector<Case> cases;
+    Rng rng(31);
+    for (int i = 0; i < 4; ++i) {
+        const sat::Cnf cnf = cnfgen::random_ksat(14, 50 + 6 * i, 3, rng);
+        cases.push_back({Problem::from_cnf(cnf),
+                         testutil::cnf_models(cnf).empty()
+                             ? sat::Result::kUnsat
+                             : sat::Result::kSat});
+        const auto anf = cnfgen::planted_quadratic_anf(12, 10 + i, 3, 2, rng);
+        std::vector<anf::Polynomial> polys = anf.polys;
+        if (i % 2) {  // usually UNSAT: a random quadratic on top
+            const auto extra = cnfgen::planted_quadratic_anf(12, 4, 3, 2, rng);
+            polys.insert(polys.end(), extra.polys.begin(), extra.polys.end());
+        }
+        cases.push_back({Problem::from_anf(polys, anf.num_vars),
+                         testutil::anf_models(polys, anf.num_vars).empty()
+                             ? sat::Result::kUnsat
+                             : sat::Result::kSat});
+    }
+    const Problem base = paper_example();
+    const EngineConfig cfg = small_config();
+
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+        threads.emplace_back([&cases, &cfg, &wrong, t] {
+            for (int round = 0; round < 3; ++round) {
+                for (size_t k = 0; k < cases.size(); ++k) {
+                    const Case& c = cases[(k + t) % cases.size()];
+                    SolveConfig scfg;
+                    scfg.engine = cfg;
+                    scfg.preprocess = (k + t + round) % 2 == 0;
+                    const auto out = solve(c.problem, scfg);
+                    if (!out.ok() || out->result != c.expect)
+                        wrong.fetch_add(1);
+                }
+            }
+        });
+    }
+    threads.emplace_back([&base, &cfg, &wrong] {
+        for (int i = 0; i < 6; ++i) {
+            Session session(base, cfg);
+            const Result<Report> r = session.solve();
+            if (!r.ok() || r->verdict != sat::Result::kSat) wrong.fetch_add(1);
+        }
+    });
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(wrong.load(), 0);
 }
 
 }  // namespace

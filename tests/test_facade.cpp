@@ -7,8 +7,10 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 #include "anf/anf_parser.h"
+#include "anf/monomial_store.h"
 #include "bosphorus/bosphorus.h"
 #include "cnfgen/generators.h"
 #include "crypto/simon.h"
@@ -370,6 +372,96 @@ TEST(Solve, WithAndWithoutEngine) {
                 EXPECT_TRUE(out->model_verified || out->solved_in_loop)
                     << in.name << " with=" << with;
             }
+        }
+    }
+}
+
+TEST(Solve, OutcomesIndependentOfStoreHistory) {
+    // A serial solve() gives back every monomial it interned, so the next
+    // call reuses those ids for different content. Raw ids never reach
+    // the output: the same inputs in three orders (forward, reversed,
+    // forward) must give identical outcomes and solver counters.
+    Rng rng(23);
+    std::vector<std::pair<std::string, Problem>> inputs;
+    inputs.emplace_back("random 3-sat n=40",
+                        Problem::from_cnf(cnfgen::random_ksat(40, 170, 3, rng)));
+    cnfgen::StreamDimacs planted;
+    planted.num_vars = 60;
+    planted.num_clauses = 240;
+    std::ostringstream planted_text;
+    cnfgen::write_stream_dimacs(planted_text, planted, rng);
+    auto planted_cnf = Problem::from_cnf_text(planted_text.str());
+    ASSERT_TRUE(planted_cnf.ok());
+    inputs.emplace_back("planted cnf n=60", *planted_cnf);
+    const auto simon = crypto::Simon32(4).encode(2, rng);
+    inputs.emplace_back("simon32 4 rounds",
+                        Problem::from_anf(simon.polys, simon.num_vars));
+    const auto anf = cnfgen::planted_quadratic_anf(14, 18, 3, 2, rng);
+    inputs.emplace_back("planted anf n=14",
+                        Problem::from_anf(anf.polys, anf.num_vars));
+
+    struct Case {
+        const std::string* name;
+        const Problem* problem;
+        bool preprocess;
+    };
+    std::vector<Case> cases;
+    for (const auto& [name, problem] : inputs)
+        for (const bool with : {true, false})
+            cases.push_back({&name, &problem, with});
+
+    auto& store = anf::MonomialStore::global();
+    const anf::MonomialStore::Stats first = store.stats();
+    auto run = [&](bool reversed) {
+        std::vector<SolveOutcome> outs(cases.size());
+        for (size_t k = 0; k < cases.size(); ++k) {
+            const size_t i = reversed ? cases.size() - 1 - k : k;
+            SolveConfig cfg;
+            cfg.engine = small_config();
+            cfg.preprocess = cases[i].preprocess;
+            cfg.timeout_s = 60.0;
+            cfg.engine_budget_s = 30.0;
+            const size_t before = store.size();
+            const auto out = solve(*cases[i].problem, cfg);
+            EXPECT_EQ(store.size(), before)
+                << *cases[i].name << ": the call kept store entries";
+            EXPECT_TRUE(out.ok()) << *cases[i].name;
+            if (out.ok()) outs[i] = *out;
+        }
+        return outs;
+    };
+    const std::vector<std::vector<SolveOutcome>> orders = {run(false),
+                                                           run(true),
+                                                           run(false)};
+    const anf::MonomialStore::Stats last = store.stats();
+    std::fprintf(stderr,
+                 "c store before: entries %zu arena %zu B entry %zu B index "
+                 "%zu B memo %zu slots, released %zu\n"
+                 "c store after:  entries %zu arena %zu B entry %zu B index "
+                 "%zu B memo %zu slots, released %zu\n",
+                 first.entries, first.arena_bytes, first.entry_bytes,
+                 first.index_bytes, first.mul_memo_entries, first.released_ids,
+                 last.entries, last.arena_bytes, last.entry_bytes,
+                 last.index_bytes, last.mul_memo_entries, last.released_ids);
+    EXPECT_EQ(last.entries, first.entries);
+    EXPECT_GT(last.released_ids, first.released_ids);
+
+    for (size_t i = 0; i < cases.size(); ++i) {
+        const SolveOutcome& a = orders[0][i];
+        EXPECT_NE(a.result, sat::Result::kUnknown) << *cases[i].name;
+        for (size_t o = 1; o < orders.size(); ++o) {
+            const SolveOutcome& b = orders[o][i];
+            const std::string what = *cases[i].name + " preprocess=" +
+                                     std::to_string(cases[i].preprocess) +
+                                     " order " + std::to_string(o);
+            EXPECT_EQ(b.result, a.result) << what;
+            EXPECT_EQ(b.solved_in_loop, a.solved_in_loop) << what;
+            EXPECT_EQ(b.model_verified, a.model_verified) << what;
+            EXPECT_EQ(b.solver_stats.conflicts, a.solver_stats.conflicts)
+                << what;
+            EXPECT_EQ(b.solver_stats.propagations,
+                      a.solver_stats.propagations)
+                << what;
         }
     }
 }

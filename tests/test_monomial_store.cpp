@@ -2,14 +2,18 @@
 // rank monotonicity, independence of the semantics from interning order
 // (id values may differ between stores; compare/rank/hash must not), index
 // growth against a reference map, the fixed-size product memo, the
-// per-monomial footprint and concurrent interning.
+// per-monomial footprint, concurrent interning and the scratch Scope
+// (truncation, stale products and ranks after a release, taint by other
+// threads, nesting).
 #include "anf/monomial_store.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <iterator>
 #include <map>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -319,6 +323,271 @@ TEST(MonomialStore, ConcurrentInterningAgreesOnIds) {
             ++wrong;
     }
     EXPECT_EQ(wrong, 0u);
+}
+
+// ---- scratch scope --------------------------------------------------------
+
+std::vector<Var> vars_of(const MonomialStore& store, MonoId id) {
+    const VarSpan vs = store.vars(id);
+    return std::vector<Var>(vs.begin(), vs.end());
+}
+
+std::vector<Var> union_of(const MonomialStore& store, MonoId a, MonoId b) {
+    const VarSpan va = store.vars(a), vb = store.vars(b);
+    std::vector<Var> out;
+    std::set_union(va.begin(), va.end(), vb.begin(), vb.end(),
+                   std::back_inserter(out));
+    return out;
+}
+
+/// Interns `n` fresh monomials of degree 2..6 over variables from `base`
+/// up (disjoint from many_vars' range when base >= 1000).
+std::vector<MonoId> intern_fresh(MonomialStore& store, Rng& rng, int n,
+                                 Var base) {
+    std::vector<MonoId> ids;
+    for (int i = 0; i < n; ++i) {
+        std::vector<Var> vs = many_vars(rng);
+        for (Var& v : vs) v += base;
+        ids.push_back(
+            store.intern_sorted(vs.data(), static_cast<uint32_t>(vs.size())));
+    }
+    return ids;
+}
+
+TEST(MonomialStoreScope, ReleaseTruncatesToTheMark) {
+    MonomialStore store;
+    Rng rng(11);
+    std::vector<std::vector<Var>> kept;
+    std::vector<MonoId> kept_ids;
+    for (int i = 0; i < 3000; ++i) {
+        kept.push_back(many_vars(rng));
+        kept_ids.push_back(store.intern(kept.back()));
+    }
+    // Products over surviving ids, memoised before the scope: they must
+    // survive the release too.
+    for (size_t i = 1; i < 200; ++i) store.mul(kept_ids[i - 1], kept_ids[i]);
+    const size_t mark = store.size();
+    const MonomialStore::Stats before = store.stats();
+
+    std::vector<std::vector<Var>> scratch;
+    MonomialStore::Stats inside;
+    {
+        const MonomialStore::Scope scope(store);
+        ASSERT_TRUE(scope.active());
+        // Enough to open new entry blocks (8192 ids) and arena chunks
+        // (65536 variables) past the ones current at the mark.
+        for (const MonoId id : intern_fresh(store, rng, 30000, 1000))
+            scratch.push_back(vars_of(store, id));
+        for (size_t i = 1; i < 2000; ++i)
+            store.mul(kept_ids[i], store.intern_var(Var(5000 + i)));
+        inside = store.stats();
+        EXPECT_GT(inside.entry_bytes, before.entry_bytes);
+        EXPECT_GT(inside.arena_bytes, before.arena_bytes);
+    }
+    const MonomialStore::Stats after = store.stats();
+    EXPECT_EQ(store.size(), mark);
+    EXPECT_EQ(after.entries, mark);
+    EXPECT_EQ(after.released_ids - before.released_ids,
+              inside.entries - mark);
+    EXPECT_EQ(after.arena_bytes, before.arena_bytes);
+    EXPECT_EQ(after.entry_bytes, before.entry_bytes);
+    EXPECT_EQ(after.index_bytes, inside.index_bytes)
+        << "the index keeps its capacity";
+    // Products naming released ids leave the memo; an in-scope product
+    // may also have overwritten a surviving one's slot.
+    EXPECT_LE(after.mul_memo_entries, before.mul_memo_entries);
+    size_t wrong_products = 0;
+    for (size_t i = 1; i < 2000; ++i)
+        if (vars_of(store, store.mul(kept_ids[i - 1], kept_ids[i])) !=
+            union_of(store, kept_ids[i - 1], kept_ids[i]))
+            ++wrong_products;
+    EXPECT_EQ(wrong_products, 0u);
+    const size_t regrown = store.size();
+
+    size_t moved = 0;
+    for (size_t i = 0; i < kept.size(); ++i)
+        if (store.intern(kept[i]) != kept_ids[i]) ++moved;
+    EXPECT_EQ(moved, 0u) << "surviving content keeps its id";
+    EXPECT_EQ(store.size(), regrown) << "survivors are found, not re-interned";
+
+    // Content interned after the release -- fresh, and content that lived
+    // inside the scope -- takes the next ids from the mark up.
+    MonomialStore ref;
+    size_t wrong = 0;
+    MonoId next = static_cast<MonoId>(regrown);
+    std::set<std::vector<Var>> seen;
+    for (size_t i = 0; i < scratch.size(); i += 7) {
+        std::vector<Var> vs = scratch[i];
+        if (i % 2) vs.push_back(90000 + Var(i));  // fresh content
+        if (!seen.insert(vs).second) continue;
+        const MonoId id = store.intern(vs);
+        if (id != next++ || vars_of(store, id) != vs ||
+            store.degree(id) != vs.size() ||
+            store.hash(id) != ref.hash(ref.intern(vs)))
+            ++wrong;
+    }
+    EXPECT_EQ(wrong, 0u);
+}
+
+TEST(MonomialStoreScope, StaleProductsAreNeverAnswered) {
+    // Products r = a * b with a, b below the mark and r above it sit in
+    // the shared memo and the owner's front cache when the scope closes.
+    // Once other content reuses r's id, neither may answer for (a, b).
+    MonomialStore store;
+    std::vector<MonoId> xs;
+    for (Var v = 0; v < 64; ++v) xs.push_back(store.intern_var(v));
+    const size_t mark = store.size();
+    std::vector<std::pair<MonoId, MonoId>> pairs;
+    {
+        const MonomialStore::Scope scope(store);
+        for (size_t i = 0; i < xs.size(); ++i) {
+            for (size_t j = i + 1; j < xs.size(); j += 5) {
+                const MonoId r = store.mul(xs[i], xs[j]);
+                ASSERT_GE(r, mark);
+                pairs.emplace_back(xs[i], xs[j]);
+            }
+        }
+    }
+    ASSERT_EQ(store.size(), mark);
+    Rng rng(3);
+    intern_fresh(store, rng, int(pairs.size()) + 100, 1000);
+    ASSERT_GT(store.size(), mark + pairs.size()) << "every r id is reused";
+
+    // A fresh thread has an empty front cache: it reads the shared memo.
+    // It runs first, so the owner below still meets its own old slots.
+    size_t wrong_memo = 0;
+    std::thread fresh([&] {
+        for (const auto& [a, b] : pairs)
+            if (vars_of(store, store.mul(a, b)) != union_of(store, a, b))
+                ++wrong_memo;
+    });
+    fresh.join();
+    EXPECT_EQ(wrong_memo, 0u) << "shared memo answered a stale product";
+    size_t wrong_front = 0;
+    for (const auto& [a, b] : pairs)
+        if (vars_of(store, store.mul(b, a)) != union_of(store, a, b))
+            ++wrong_front;
+    EXPECT_EQ(wrong_front, 0u) << "front cache answered a stale product";
+}
+
+TEST(MonomialStoreScope, RanksAfterReleaseAndRegrowth) {
+    // The ranks() cache is keyed by the entry count: a release followed by
+    // regrowth to the same count must not hand back the old table.
+    MonomialStore store;
+    Rng rng(8);
+    for (int i = 0; i < 200; ++i) store.intern(random_vars(rng, 12, 4));
+    const size_t mark = store.size();
+    {
+        const MonomialStore::Scope scope(store);
+        intern_fresh(store, rng, 300, 0);
+        ASSERT_EQ(store.ranks()->size(), store.size());
+    }
+    const std::vector<MonoId> fresh = intern_fresh(store, rng, 300, 2000);
+    ASSERT_EQ(store.size(), mark + 300) << "regrown to the cached epoch";
+    const auto ranks = store.ranks();
+    ASSERT_EQ(ranks->size(), store.size());
+    std::vector<MonoId> all(store.size());
+    for (MonoId id = 0; id < all.size(); ++id) all[id] = id;
+    size_t wrong = 0;
+    for (const MonoId a : fresh)
+        for (MonoId b = 0; b < all.size(); b += 3)
+            if (((*ranks)[a] < (*ranks)[b]) != store.less(a, b)) ++wrong;
+    EXPECT_EQ(wrong, 0u);
+}
+
+// A second thread's store call inside an open scope keeps every id:
+// interning, a product answered by the shared memo, or a ranks() snapshot.
+// `other_thread` returns the ids it obtained; they and the owner's must
+// all keep their content after the scope closes.
+using OtherThread =
+    std::function<std::vector<MonoId>(MonomialStore&, MonoId, MonoId)>;
+void expect_taint_blocks_release(const OtherThread& other_thread) {
+    MonomialStore store;
+    const MonoId x = store.intern_var(1), y = store.intern_var(2);
+    const size_t released = store.stats().released_ids;
+    std::vector<MonoId> ids;
+    size_t closed_at = 0;
+    {
+        const MonomialStore::Scope scope(store);
+        Rng rng(4);
+        ids = intern_fresh(store, rng, 500, 0);
+        ids.push_back(store.mul(x, y));
+        std::vector<MonoId> theirs;
+        std::thread other([&] { theirs = other_thread(store, x, y); });
+        other.join();
+        ids.insert(ids.end(), theirs.begin(), theirs.end());
+        closed_at = store.size();
+    }
+    EXPECT_EQ(store.size(), closed_at);
+    EXPECT_EQ(store.stats().released_ids, released);
+    std::vector<std::vector<Var>> content;
+    for (const MonoId id : ids) content.push_back(vars_of(store, id));
+    size_t moved = 0;
+    for (size_t i = 0; i < ids.size(); ++i)
+        if (store.intern(content[i]) != ids[i]) ++moved;
+    EXPECT_EQ(moved, 0u);
+    EXPECT_EQ(store.size(), closed_at);
+}
+
+TEST(MonomialStoreScope, OtherThreadInterningBlocksRelease) {
+    expect_taint_blocks_release([](MonomialStore& store, MonoId, MonoId) {
+        Rng rng(6);
+        return intern_fresh(store, rng, 500, 3000);
+    });
+}
+
+TEST(MonomialStoreScope, OtherThreadMemoHitBlocksRelease) {
+    expect_taint_blocks_release([](MonomialStore& store, MonoId x, MonoId y) {
+        const size_t misses = store.mul_memo_misses();
+        const MonoId r = store.mul(y, x);  // fresh front cache: memo hit
+        EXPECT_EQ(store.mul_memo_misses(), misses);
+        return std::vector<MonoId>{r};
+    });
+}
+
+TEST(MonomialStoreScope, OtherThreadRanksBlocksRelease) {
+    expect_taint_blocks_release([](MonomialStore& store, MonoId, MonoId) {
+        (void)store.ranks();
+        return std::vector<MonoId>{};
+    });
+}
+
+TEST(MonomialStoreScope, NestedAndEmptyScopesAreNoOps) {
+    MonomialStore store;
+    Rng rng(9);
+    intern_fresh(store, rng, 100, 0);
+    const size_t base = store.size();
+    const MonomialStore::Stats before = store.stats();
+    {
+        const MonomialStore::Scope empty(store);
+        EXPECT_TRUE(empty.active());
+    }
+    EXPECT_EQ(store.size(), base);
+    EXPECT_EQ(store.stats().released_ids, before.released_ids);
+    EXPECT_EQ(store.stats().mul_memo_entries, before.mul_memo_entries);
+
+    size_t after_inner = 0;
+    {
+        const MonomialStore::Scope outer(store);
+        intern_fresh(store, rng, 50, 1000);
+        {
+            const MonomialStore::Scope inner(store);
+            EXPECT_FALSE(inner.active());
+            bool other_active = true;
+            std::thread other([&] {
+                const MonomialStore::Scope theirs(store);
+                other_active = theirs.active();
+            });
+            other.join();
+            EXPECT_FALSE(other_active) << "one open scope per store";
+            intern_fresh(store, rng, 50, 2000);
+            after_inner = store.size();
+        }
+        EXPECT_EQ(store.size(), after_inner) << "a nested scope releases nothing";
+        EXPECT_EQ(after_inner, base + 100);
+    }
+    EXPECT_EQ(store.size(), base) << "the outer scope releases both";
+    EXPECT_EQ(store.stats().released_ids, before.released_ids + 100);
 }
 
 }  // namespace

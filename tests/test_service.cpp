@@ -607,8 +607,8 @@ TEST(Service, StatsSnapshotIsConsistent) {
     EXPECT_GT(stats.par2_sum, 0.0);  // decided: contributes its runtime
     EXPECT_LT(stats.par2(), 2 * cfg.default_timeout_s);
     EXPECT_GT(stats.uptime_s, 0.0);
-    // The store occupancy is live and append-only: never below a
-    // snapshot taken earlier.
+    // The store occupancy is live, and service jobs run in Sessions,
+    // which never release entries: never below a snapshot taken earlier.
     EXPECT_GE(stats.store.entries, before.entries);
     EXPECT_GT(stats.store.entries, 0u);
     EXPECT_GT(stats.store.arena_bytes, 0u);

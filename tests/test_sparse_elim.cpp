@@ -293,5 +293,35 @@ TEST(SparseRrefCancel, CancelInsideTheEliminationDiscardsTheMatrix) {
     EXPECT_TRUE(core::extract_facts(lin).empty());
 }
 
+TEST(SparseRrefCancel, DenseKernelStopsWithinOneColumnBlock) {
+    // rref_m4r polls once per column block: a token already cancelled at
+    // the call is seen before the first block completes.
+    Rng rng(13);
+    gf2::Matrix m = gf2::Matrix::random(256, 256, rng);
+    int polls = 0;
+    const auto token = runtime::CancellationToken::linked(
+        {}, [&polls] { ++polls; return true; });
+    EXPECT_LE(m.rref_m4r(8, token), 8u) << "at most one block of pivots";
+    EXPECT_EQ(polls, 1);
+    gf2::Matrix full = gf2::Matrix::random(256, 256, rng);
+    EXPECT_GT(full.rref_m4r(8), 8u);
+}
+
+TEST(SparseRrefCancel, CancelInsideTheDenseKernelDiscardsTheMatrix) {
+    // 300 rows over 100 columns: the sparse kernel polls after the pivot
+    // block, at rows 0 and 256 of the Schur pass and after it (4 polls);
+    // the 5th poll is the dense kernel's first column block. The caller
+    // sees the cancel right after the kernel returns (6th poll) and clears
+    // the matrix.
+    Rng rng(17);
+    SparseMatrix s = random_sparse(300, 100, 0.05, rng);
+    int polls = 0;
+    const auto token = runtime::CancellationToken::linked(
+        {}, [&polls] { return ++polls >= 5; });
+    EXPECT_EQ(s.rref(true, token), 0u);
+    EXPECT_EQ(polls, 6);
+    EXPECT_EQ(s.rows(), 0u);
+}
+
 }  // namespace
 }  // namespace bosphorus

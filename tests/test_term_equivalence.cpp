@@ -196,7 +196,7 @@ TEST(SnapshotTrail, RestoreIsExactAndStoreIsAppendOnly) {
             << "pop must rewind the system bit-exactly";
         EXPECT_EQ(sys.okay(), ok_before);
         EXPECT_GE(anf::MonomialStore::global().size(), store_before)
-            << "the store is append-only: rewinds never shrink it";
+            << "rewinds never release store entries";
         sys.clear_trail();
     }
 }
